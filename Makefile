@@ -53,11 +53,9 @@ bench-streaming:
 bench-segments:
 	$(call run-bench,./internal/service/,BenchmarkSegmentsCold|BenchmarkSegmentsFullCacheHit|BenchmarkSegmentsPartialReuseAfterAppend,20x,BENCH_segments.json)
 
-# Durable-storage benchmarks on the Fig4 50k-event dataset: dataset
-# load from file-per-segment snapshots — v2 mmap cold open (footer +
-# block directory only, target >= 3x vs the eager v1 decode) and the
-# eager v1 gob decode — vs. legacy gob replay (re-intern, re-chunk,
-# re-seal, re-index everything; target >= 5x).
+# Durable-storage benchmark on the Fig4 50k-event dataset: cold open of
+# its store directory (manifest decode + lazy segment restore; segment
+# files open, mmap, and decode on first scan).
 bench-persist:
 	$(call run-bench,./internal/eventstore/,BenchmarkPersist,10x,BENCH_persist.json)
 

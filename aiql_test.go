@@ -90,39 +90,25 @@ return p1`)
 	}
 }
 
-func TestSaveLoadFile(t *testing.T) {
-	db := demoDB(t)
-	path := filepath.Join(t.TempDir(), "snap.aiql")
-	if err := db.SaveFile(path); err != nil {
+// OpenDir must refuse a path that is not a store directory — a regular
+// file, or a directory whose MANIFEST is garbage — rather than serve an
+// empty or partial store.
+func TestOpenDirBadPath(t *testing.T) {
+	file := filepath.Join(t.TempDir(), "data.aiql")
+	if err := os.WriteFile(file, []byte("not a store"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	db2, err := aiql.LoadFile(path)
-	if err != nil {
+	if db, err := aiql.OpenDir(file); err == nil {
+		db.Close()
+		t.Error("expected error for a regular file")
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte("not a manifest"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if db2.Len() != db.Len() {
-		t.Errorf("loaded %d events, want %d", db2.Len(), db.Len())
-	}
-	res, err := db2.Query(`proc p read file f as e return distinct p, f`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0] != "sbblv.exe" {
-		t.Errorf("rows = %v", res.Rows)
-	}
-}
-
-func TestLoadFileMissing(t *testing.T) {
-	if _, err := aiql.LoadFile(filepath.Join(t.TempDir(), "nope.aiql")); err == nil {
-		t.Error("expected error for missing snapshot")
-	}
-	// corrupted snapshot
-	bad := filepath.Join(t.TempDir(), "bad.aiql")
-	if err := os.WriteFile(bad, []byte("not a snapshot"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := aiql.LoadFile(bad); err == nil {
-		t.Error("expected error for corrupted snapshot")
+	if db, err := aiql.OpenDir(dir); err == nil {
+		db.Close()
+		t.Error("expected error for a corrupt manifest")
 	}
 }
 
@@ -162,60 +148,36 @@ proc p4 read file f as evt3
 with evt1 before evt2, evt2 before evt3
 return distinct p1, p2, p3, p4, f`
 
-// TestMigrateRoundTrip covers the one-shot `aiql -migrate` path: a
-// legacy gob snapshot converted to a durable directory must answer
-// queries identically, and OpenPath must route to the right loader for
-// both on-disk forms.
-func TestMigrateRoundTrip(t *testing.T) {
+// TestSaveDirRoundTrip covers the store-directory path every dataset
+// takes: a database written with SaveDir must answer queries
+// identically through OpenDir, accept appends, and recover them.
+func TestSaveDirRoundTrip(t *testing.T) {
 	db := demoDB(t)
 	want, err := db.Query(investigationQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	gobPath := filepath.Join(t.TempDir(), "legacy.aiql")
-	if err := db.SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
-
-	// the -migrate path: load the gob snapshot, write the directory
-	loaded, err := aiql.LoadFile(gobPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	dir := filepath.Join(t.TempDir(), "store")
-	if err := loaded.SaveDir(dir); err != nil {
+	if err := db.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 
-	for _, path := range []string{gobPath, dir} {
-		got, err := aiql.OpenPath(path)
-		if err != nil {
-			t.Fatalf("OpenPath(%s): %v", path, err)
-		}
-		res, err := got.Query(investigationQuery)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Table() != want.Table() {
-			t.Fatalf("query results differ after migration via %s:\n%s\nwant:\n%s", path, res.Table(), want.Table())
-		}
-		if got.Len() != db.Len() {
-			t.Fatalf("%s: %d events, want %d", path, got.Len(), db.Len())
-		}
-		if err := got.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// the migrated directory is a real durable store: it accepts
-	// appends, recovers them, and reports durable stats
 	dur, err := aiql.OpenDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	res, err := dur.Query(investigationQuery)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Table() != want.Table() {
+		t.Fatalf("query results differ after SaveDir + OpenDir:\n%s\nwant:\n%s", res.Table(), want.Table())
+	}
+	if dur.Len() != db.Len() {
+		t.Fatalf("%d events, want %d", dur.Len(), db.Len())
+	}
 	if st := dur.DurableStats(); st.SegmentFiles == 0 || st.ManifestEdition == 0 {
-		t.Fatalf("durable stats after migration: %+v", st)
+		t.Fatalf("durable stats after SaveDir: %+v", st)
 	}
 	dur.Append(aiql.Record{
 		AgentID: 7,
@@ -236,7 +198,7 @@ func TestMigrateRoundTrip(t *testing.T) {
 	}
 	defer reopened.Close()
 	if reopened.Len() != n {
-		t.Fatalf("reopened migrated store has %d events, want %d", reopened.Len(), n)
+		t.Fatalf("reopened store has %d events, want %d", reopened.Len(), n)
 	}
 }
 

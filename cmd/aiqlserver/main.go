@@ -9,16 +9,15 @@
 //
 // Usage:
 //
-//	aiqlserver -data data.aiql -addr :8080
-//	aiqlserver -data-dir ./store -compact 30s
-//	aiqlserver -datasets "prod=proddir,staging=staging.aiql" -default prod
+//	aiqlserver -data-dir ./store -addr :8080 -compact 30s
+//	aiqlserver -datasets "prod=./prod,staging=./staging" -default prod
 //	aiqlserver -shards shards.json -shard-timeout 10s
 //
-// A dataset path may be a legacy gob snapshot file or a durable store
-// directory (file-per-segment snapshots + MANIFEST + WAL, recovered on
-// open); -data-dir serves a durable directory as the default dataset,
-// creating it if absent, and -compact runs each dataset's background
-// segment compactor.
+// Every dataset is a durable store directory (file-per-segment
+// snapshots + MANIFEST + WAL, recovered on open), such as the ones
+// aiqlgen writes. -data-dir serves one as the default dataset, creating
+// it if absent; each -datasets path must already exist. -compact runs
+// each dataset's background segment compactor.
 //
 // -shards declares sharded datasets from a partition-map JSON file:
 // each member is a local store directory or a remote aiqlserver peer
@@ -35,7 +34,7 @@
 //	POST /api/v1/check                 {"query": "..."}
 //	GET  /api/v1/stats?dataset=name
 //	GET  /api/v1/datasets
-//	POST /api/v1/datasets/{name}/load  {"path": "optional.aiql"}
+//	POST /api/v1/datasets/{name}/load  {"path": "optional/store/dir"}
 //	POST /api/v1/ingest?dataset=name   NDJSON event records → {ingested, new_matches, ...}
 //	POST /api/v1/watch                 {"query": "...", "params": {...}, "dataset": "..."} → {watch_id, ...}
 //	GET  /api/v1/watch?dataset=name    registered standing queries
@@ -88,9 +87,8 @@ func main() {
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 	slog.SetDefault(logger)
 	var (
-		data       = flag.String("data", "", "dataset snapshot file served as dataset \"default\"; empty = built-in demo dataset (unless -datasets or -data-dir is given)")
-		dataDir    = flag.String("data-dir", "", "durable store directory served as dataset \"default\" (crash-recovered via MANIFEST + WAL; created if absent)")
-		datasets   = flag.String("datasets", "", "comma-separated name=path dataset list; each path may be a gob snapshot or a durable store directory, e.g. \"prod=proddir,staging=staging.aiql\"")
+		dataDir    = flag.String("data-dir", "", "durable store directory served as dataset \"default\" (crash-recovered via MANIFEST + WAL; created if absent); empty = built-in demo dataset unless -datasets or -shards is given")
+		datasets   = flag.String("datasets", "", "comma-separated name=dir dataset list; each dir is an existing durable store directory, e.g. \"prod=./prod,staging=./staging\"")
 		defName    = flag.String("default", "", "default dataset name (default: first registered)")
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 0, "max concurrent query executions per dataset (0 = GOMAXPROCS)")
@@ -155,7 +153,7 @@ func main() {
 		for _, pair := range strings.Split(*datasets, ",") {
 			name, path, ok := strings.Cut(strings.TrimSpace(pair), "=")
 			if !ok || name == "" || path == "" {
-				fatalf("bad -datasets entry %q, want name=path", pair)
+				fatalf("bad -datasets entry %q, want name=dir", pair)
 			}
 			if _, err := cat.AddFile(name, path); err != nil {
 				fatal(err)
@@ -178,21 +176,13 @@ func main() {
 			slog.Info("sharded dataset registered", "dataset", spec.Dataset, "members", len(spec.Members))
 		}
 	}
-	if *data != "" && *dataDir != "" {
-		fatal("-data and -data-dir are mutually exclusive")
-	}
-	if *data != "" {
-		if _, err := cat.AddFile("default", *data); err != nil {
-			fatal(err)
-		}
-	}
 	if *dataDir != "" {
 		if _, err := cat.AddDir("default", *dataDir); err != nil {
 			fatal(err)
 		}
 	}
 	if len(cat.Names()) == 0 {
-		fmt.Fprintln(os.Stderr, "no -data or -datasets given; generating the built-in demo dataset (50k events, demo-apt scenario)")
+		fmt.Fprintln(os.Stderr, "no -data-dir, -datasets or -shards given; generating the built-in demo dataset (50k events, demo-apt scenario)")
 		db := aiql.FromStore(experiments.BuildStore(experiments.Fig4Dataset(50000, 10, 42)))
 		db.Flush() // seal the generated data so segment reuse applies immediately
 		if _, err := cat.AddDB("demo", db); err != nil {

@@ -5,15 +5,16 @@
 // one investigation never evicts another's caches or skews its
 // counters.
 //
-// Datasets hot-swap atomically: loading a snapshot builds a completely
-// new store + service off to the side and then swaps the catalog entry
-// under the lock. In-flight queries keep the service (and therefore the
-// store snapshot) they started with and finish normally; only new
-// requests resolve to the swapped-in dataset.
+// Datasets hot-swap atomically: loading a store directory builds a
+// completely new store + service off to the side and then swaps the
+// catalog entry under the lock. In-flight queries keep the service (and
+// therefore the store snapshot) they started with and finish normally;
+// only new requests resolve to the swapped-in dataset.
 package catalog
 
 import (
 	"fmt"
+	"os"
 	"runtime"
 	"sort"
 	"sync"
@@ -66,14 +67,14 @@ type Config struct {
 // Dataset is one named database with its service layer.
 type Dataset struct {
 	name string
-	path string // snapshot file backing the dataset; empty for in-memory
+	path string // store directory backing the dataset; empty for in-memory
 	svc  *service.Service
 }
 
 // Name returns the dataset's catalog name.
 func (d *Dataset) Name() string { return d.name }
 
-// Path returns the snapshot file backing the dataset, if any.
+// Path returns the store directory backing the dataset, if any.
 func (d *Dataset) Path() string { return d.path }
 
 // Service returns the dataset's service layer.
@@ -132,18 +133,25 @@ func (c *Catalog) storageOptions() aiql.StorageOptions {
 	return storage
 }
 
-// openPath opens a dataset path (durable directory or gob snapshot)
-// with the catalog's storage configuration applied.
-func (c *Catalog) openPath(path string) (*aiql.DB, error) {
-	return aiql.OpenPathWithOptions(path, c.storageOptions(), aiql.EngineConfig{})
-}
-
 // openDir opens (creating if needed) a durable store directory with the
 // catalog's storage configuration applied.
 func (c *Catalog) openDir(dir string) (*aiql.DB, error) {
 	storage := c.storageOptions()
 	storage.Dir = dir
 	return aiql.OpenDirWithOptions(storage, aiql.EngineConfig{})
+}
+
+// openExisting is openDir for a directory that must already exist: a
+// mistyped dataset path is an error, not a new empty dataset.
+func (c *Catalog) openExisting(dir string) (*aiql.DB, error) {
+	fi, err := os.Stat(dir)
+	if err != nil {
+		return nil, err
+	}
+	if !fi.IsDir() {
+		return nil, fmt.Errorf("%s is not a store directory", dir)
+	}
+	return c.openDir(dir)
 }
 
 // newDataset wraps a database in a fresh service layer with the
@@ -180,35 +188,26 @@ func (c *Catalog) AddDB(name string, db *aiql.DB) (*Dataset, error) {
 	return d, nil
 }
 
-// AddFile loads a dataset from path — a durable store directory or a
-// legacy gob snapshot file — and registers it under name. The first
-// dataset registered becomes the default.
+// AddFile opens the existing durable store directory at path and
+// registers it under name; unlike AddDir it never creates the
+// directory. The first dataset registered becomes the default.
 func (c *Catalog) AddFile(name, path string) (*Dataset, error) {
-	if name == "" {
-		return nil, fmt.Errorf("catalog: dataset name must not be empty")
-	}
-	db, err := c.openPath(path)
-	if err != nil {
-		return nil, fmt.Errorf("catalog: load %q: %w", name, err)
-	}
-	d := c.newDataset(name, path, db)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.sets[name]; ok {
-		return nil, fmt.Errorf("catalog: dataset %q already registered", name)
-	}
-	c.install(d)
-	return d, nil
+	return c.add(name, path, c.openExisting)
 }
 
 // AddDir opens (creating or crash-recovering if needed) a durable
 // store directory and registers it under name. The first dataset
 // registered becomes the default.
 func (c *Catalog) AddDir(name, dir string) (*Dataset, error) {
+	return c.add(name, dir, c.openDir)
+}
+
+// add opens dir with open and registers the result under name.
+func (c *Catalog) add(name, dir string, open func(string) (*aiql.DB, error)) (*Dataset, error) {
 	if name == "" {
 		return nil, fmt.Errorf("catalog: dataset name must not be empty")
 	}
-	db, err := c.openDir(dir)
+	db, err := open(dir)
 	if err != nil {
 		return nil, fmt.Errorf("catalog: open %q: %w", name, err)
 	}
@@ -286,16 +285,16 @@ func (c *Catalog) Names() []string {
 	return out
 }
 
-// Load hot-swaps (or registers) the dataset name from a durable store
-// directory or a legacy gob snapshot file: a brand-new store, engine,
-// scan cache, and service are built from path with no catalog lock
-// held, then the entry is swapped atomically. In-flight queries on the
-// old dataset finish on the snapshot they started with — including
-// while the old dataset's compactor is mid-pass: the replaced database
-// is closed first (in-flight compaction drained, further disk writes
-// fenced, WAL released), so the directory has one writer at a time, and
-// its in-memory snapshots stay readable until those queries finish. An
-// empty path reloads the dataset's backing file.
+// Load hot-swaps (or registers) the dataset name from an existing
+// durable store directory: a brand-new store, engine, scan cache, and
+// service are built from path with no catalog lock held, then the
+// entry is swapped atomically. In-flight queries on the old dataset
+// finish on the snapshot they started with — including while the old
+// dataset's compactor is mid-pass: the replaced database is closed
+// first (in-flight compaction drained, further disk writes fenced, WAL
+// released), so the directory has one writer at a time, and its
+// in-memory snapshots stay readable until those queries finish. An
+// empty path reloads the dataset's backing directory.
 //
 // Outstanding pagination cursors are deliberately not carried over: a
 // cursor names a result generation of the replaced store, and serving
@@ -323,7 +322,7 @@ func (c *Catalog) Load(name, path string) (*Dataset, error) {
 			return nil, fmt.Errorf("%w: %q (a path is required to register a new dataset)", service.ErrUnknownDataset, name)
 		}
 		if path == "" {
-			return nil, fmt.Errorf("catalog: dataset %q has no backing snapshot; a path is required", name)
+			return nil, fmt.Errorf("catalog: dataset %q has no backing store directory; a path is required", name)
 		}
 	}
 	c.loadMu.Lock()
@@ -350,12 +349,12 @@ func (c *Catalog) Load(name, path string) (*Dataset, error) {
 	if conflict {
 		old.svc.DB().Close()
 	}
-	db, err := c.openPath(path)
+	db, err := c.openExisting(path)
 	if err != nil {
 		if conflict {
 			// The old database's durability was already torn down; try
 			// to reopen its directory so the dataset stays durable.
-			if rdb, rerr := c.openPath(old.path); rerr == nil {
+			if rdb, rerr := c.openExisting(old.path); rerr == nil {
 				d := c.newDataset(name, old.path, rdb)
 				d.svc.AdoptPrepared(old.svc.PreparedSeeds())
 				d.svc.AdoptWatches(old.svc.WatchSeeds())

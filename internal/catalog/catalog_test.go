@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -97,12 +98,12 @@ func TestIndependentDatasets(t *testing.T) {
 // snapshot and finish normally.
 func TestHotSwapKeepsInflightQueries(t *testing.T) {
 	dir := t.TempDir()
-	oldPath := filepath.Join(dir, "old.aiql")
-	newPath := filepath.Join(dir, "new.aiql")
-	if err := buildDB(t, "old", 2000).SaveFile(oldPath); err != nil {
+	oldPath := filepath.Join(dir, "old")
+	newPath := filepath.Join(dir, "new")
+	if err := buildDB(t, "old", 2000).SaveDir(oldPath); err != nil {
 		t.Fatal(err)
 	}
-	if err := buildDB(t, "new", 7).SaveFile(newPath); err != nil {
+	if err := buildDB(t, "new", 7).SaveDir(newPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -170,8 +171,8 @@ func TestHotSwapKeepsInflightQueries(t *testing.T) {
 // end: listing, per-dataset queries, per-dataset stats, and a hot-swap.
 func TestHTTPDatasetRoutingAndManagement(t *testing.T) {
 	dir := t.TempDir()
-	betaPath := filepath.Join(dir, "beta.aiql")
-	if err := buildDB(t, "beta2", 4).SaveFile(betaPath); err != nil {
+	betaPath := filepath.Join(dir, "beta")
+	if err := buildDB(t, "beta2", 4).SaveDir(betaPath); err != nil {
 		t.Fatal(err)
 	}
 
@@ -263,5 +264,32 @@ func TestHTTPDatasetRoutingAndManagement(t *testing.T) {
 	// a pathless load of an unregistered name is a 404, not a 400
 	if rec := do(http.MethodPost, "/api/v1/datasets/ghost/load", ""); rec.Code != http.StatusNotFound {
 		t.Errorf("pathless load of unknown dataset: status %d, want 404", rec.Code)
+	}
+}
+
+// AddFile and Load serve existing store directories only: a missing
+// path or a regular file is an error, and a missing path is never
+// created as a new, empty dataset.
+func TestAddFileMissingPath(t *testing.T) {
+	missing := filepath.Join(t.TempDir(), "nope")
+	c := New(Config{})
+	if _, err := c.AddFile("x", missing); err == nil {
+		t.Fatal("AddFile accepted a missing path")
+	}
+	if _, err := c.Load("x", missing); err == nil {
+		t.Fatal("Load accepted a missing path")
+	}
+	if _, err := os.Stat(missing); !os.IsNotExist(err) {
+		t.Fatalf("missing dataset path was created (stat: %v)", err)
+	}
+	file := filepath.Join(t.TempDir(), "data.aiql")
+	if err := os.WriteFile(file, []byte("not a store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.AddFile("y", file); err == nil {
+		t.Fatal("AddFile accepted a regular file")
+	}
+	if len(c.Names()) != 0 {
+		t.Fatalf("failed opens registered datasets: %v", c.Names())
 	}
 }

@@ -39,8 +39,8 @@ func do(t *testing.T, h http.Handler, method, path, body string) *httptest.Respo
 // same subscriber again.
 func TestWatchSurvivesHotSwap(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.aiql")
-	if err := buildDB(t, "x", 8).SaveFile(snap); err != nil {
+	snap := filepath.Join(dir, "snap")
+	if err := buildDB(t, "x", 8).SaveDir(snap); err != nil {
 		t.Fatal(err)
 	}
 	c := New(Config{})
@@ -133,8 +133,8 @@ func TestWatchSurvivesHotSwap(t *testing.T) {
 // contract error — no data races, no torn registries, no stuck ingests.
 func TestConcurrentIngestWatchCursorHotSwap(t *testing.T) {
 	dir := t.TempDir()
-	snap := filepath.Join(dir, "snap.aiql")
-	if err := buildDB(t, "x", 30).SaveFile(snap); err != nil {
+	snap := filepath.Join(dir, "snap")
+	if err := buildDB(t, "x", 30).SaveDir(snap); err != nil {
 		t.Fatal(err)
 	}
 	c := New(Config{})

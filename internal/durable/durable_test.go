@@ -1,9 +1,12 @@
 package durable
 
 import (
+	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/aiql/aiql/internal/sysmon"
@@ -47,23 +50,29 @@ func testSegment(n int) *SegmentData {
 func TestSegmentRoundTrip(t *testing.T) {
 	for _, n := range []int{0, 1, 100} {
 		d := testSegment(n)
-		got, err := DecodeSegment(EncodeSegment(d))
+		_, rd := writeV2(t, d, true)
+		evs, err := rd.MaterializeEvents()
 		if err != nil {
 			t.Fatalf("n=%d: decode: %v", n, err)
 		}
-		if !reflect.DeepEqual(got.Events, d.Events) {
+		if len(evs) != n || (n > 0 && !reflect.DeepEqual(evs, d.Events)) {
 			t.Fatalf("n=%d: events differ after round trip", n)
 		}
-		if got.ID != d.ID || got.AgentID != d.AgentID || got.Bucket != d.Bucket {
-			t.Fatalf("n=%d: identity differs: %+v", n, got)
+		if rd.ID != d.ID || rd.AgentID != d.AgentID || rd.Bucket != d.Bucket || rd.Count != n {
+			t.Fatalf("n=%d: identity differs: %+v", n, rd)
 		}
-		if n > 0 && (got.MinEventID != 1 || got.MaxEventID != uint64(n)) {
-			t.Fatalf("n=%d: event-ID bounds %d..%d", n, got.MinEventID, got.MaxEventID)
+		if n > 0 && (rd.MinEventID != 1 || rd.MaxEventID != uint64(n)) {
+			t.Fatalf("n=%d: event-ID bounds %d..%d", n, rd.MinEventID, rd.MaxEventID)
 		}
-		if !reflect.DeepEqual(got.PostingSub, d.PostingSub) || !reflect.DeepEqual(got.PostingObj, d.PostingObj) {
+		sub, obj, err := rd.ReadIndexes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(sub) != len(d.PostingSub) || len(obj) != len(d.PostingObj) ||
+			(n > 0 && (!reflect.DeepEqual(sub, d.PostingSub) || !reflect.DeepEqual(obj, d.PostingObj))) {
 			t.Fatalf("n=%d: postings differ after round trip", n)
 		}
-		if !reflect.DeepEqual(got.OpCount, d.OpCount) {
+		if !reflect.DeepEqual(rd.OpCount, d.OpCount) {
 			t.Fatalf("n=%d: op histogram differs", n)
 		}
 	}
@@ -71,47 +80,51 @@ func TestSegmentRoundTrip(t *testing.T) {
 
 func TestSegmentRoundTripUnindexed(t *testing.T) {
 	d := &SegmentData{ID: 7, Events: testEvents(10)}
-	got, err := DecodeSegment(EncodeSegment(d))
+	_, rd := writeV2(t, d, true)
+	if rd.Indexed {
+		t.Fatal("unindexed segment opened as indexed")
+	}
+	sub, obj, err := rd.ReadIndexes()
+	if err != nil || sub != nil || obj != nil {
+		t.Fatalf("unindexed segment read indexes: %v %v %v", sub, obj, err)
+	}
+	evs, err := rd.MaterializeEvents()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Indexed || got.PostingSub != nil {
-		t.Fatal("unindexed segment decoded with indexes")
-	}
-	if !reflect.DeepEqual(got.Events, d.Events) {
+	if !reflect.DeepEqual(evs, d.Events) {
 		t.Fatal("events differ")
 	}
 }
 
-// Every clipped prefix and every flipped byte must produce an error,
-// never a panic and never silent success.
-func TestSegmentDecodeCorrupt(t *testing.T) {
-	buf := EncodeSegment(testSegment(25))
-	for _, cut := range []int{0, 3, 4, 10, 20, len(buf) / 2, len(buf) - 5, len(buf) - 1} {
-		if _, err := DecodeSegment(buf[:cut]); err == nil {
-			t.Fatalf("clip at %d of %d: no error", cut, len(buf))
-		}
-	}
-	for _, pos := range []int{5, 30, 200, len(buf) - 10} {
-		bad := append([]byte(nil), buf...)
-		bad[pos] ^= 0xff
-		if _, err := DecodeSegment(bad); err == nil {
-			t.Fatalf("flip at %d: no error", pos)
-		}
-	}
-}
-
+// WriteSegmentFileV2 reports the size it wrote (the durable stats sum
+// these) and the file reads back whole.
 func TestSegmentFileRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), SegmentFileName(42))
 	d := testSegment(50)
-	if n, err := WriteSegmentFile(path, d); err != nil || n == 0 {
-		t.Fatalf("write: n=%d err=%v", n, err)
-	}
-	got, err := ReadSegmentFile(path)
+	n, err := WriteSegmentFileV2(path, d, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got.Events, d.Events) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fi.Size() != n {
+		t.Fatalf("write reported %d bytes, file has %d", n, fi.Size())
+	}
+	rd, err := OpenSegmentReader(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rd.Size() != n {
+		t.Fatalf("reader size %d, wrote %d", rd.Size(), n)
+	}
+	got, err := rd.MaterializeEvents()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, d.Events) {
 		t.Fatal("events differ after file round trip")
 	}
 }
@@ -160,6 +173,89 @@ func TestManifestDecodeCorrupt(t *testing.T) {
 	bad[14] ^= 0xff
 	if _, err := DecodeManifest(bad); err == nil {
 		t.Fatal("flipped payload byte: no error")
+	}
+}
+
+// reseal recomputes a manifest image's trailing payload checksum after
+// a test patched it.
+func reseal(buf []byte) []byte {
+	binary.LittleEndian.PutUint32(buf[len(buf)-4:], checksum(buf[8:len(buf)-4]))
+	return buf
+}
+
+func oneRefManifest(t *testing.T, file string) []byte {
+	t.Helper()
+	buf, err := EncodeManifest(&Manifest{
+		Edition:  1,
+		Segments: []SegmentRef{{ID: 3, File: file, Events: 10}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return buf
+}
+
+// A version-2 manifest describes a store of pre-columnar segment files,
+// which no longer open: decoding must fail with a descriptive error.
+func TestManifestRejectsVersion2(t *testing.T) {
+	buf := oneRefManifest(t, SegmentFileName(3))
+	binary.LittleEndian.PutUint32(buf[4:], 2)
+	_, err := DecodeManifest(buf)
+	if err == nil || !strings.Contains(err.Error(), "version 2") {
+		t.Fatalf("version-2 manifest: err = %v", err)
+	}
+}
+
+// A ref whose format byte marks a v1 segment file must fail the decode
+// of both the base manifest and a delta frame, never decode as a ref
+// the store would then fail to open lazily.
+func TestManifestRejectsV1SegmentRef(t *testing.T) {
+	buf := oneRefManifest(t, SegmentFileName(3))
+	buf[len(buf)-5] = 1 // the ref's format byte precedes the crc
+	_, err := DecodeManifest(reseal(buf))
+	if err == nil || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("v1 ref in manifest: err = %v", err)
+	}
+
+	payload := encodeManifestDelta(&ManifestDelta{
+		Edition:  1,
+		Segments: []SegmentRef{{ID: 3, File: SegmentFileName(3), Events: 10}},
+	})
+	payload[len(payload)-1] = 1
+	if _, err := decodeManifestDelta(payload); err == nil {
+		t.Fatal("v1 ref in delta frame decoded")
+	}
+}
+
+// Every writer names a segment's file SegmentFileName(ID); a CRC-valid
+// manifest or delta frame naming anything else — here a path outside
+// the store directory — is corrupt, and delta replay must fail rather
+// than truncate the frame away.
+func TestManifestRejectsForeignFileName(t *testing.T) {
+	if _, err := DecodeManifest(oneRefManifest(t, "../x.seg")); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("manifest naming ../x.seg: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := DecodeManifest(oneRefManifest(t, SegmentFileName(4))); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("manifest naming another segment's file: err = %v, want ErrCorrupt", err)
+	}
+
+	dir := t.TempDir()
+	if err := AppendManifestDelta(dir, &ManifestDelta{
+		Edition:  1,
+		Segments: []SegmentRef{{ID: 3, File: "../x.seg", Events: 10}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	size := ManifestDeltaSize(dir)
+	m := &Manifest{}
+	if _, err := ApplyManifestDeltas(dir, m); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("delta naming ../x.seg: err = %v, want ErrCorrupt", err)
+	}
+	if len(m.Segments) != 0 {
+		t.Fatalf("rejected frame applied: %+v", m.Segments)
+	}
+	if got := ManifestDeltaSize(dir); got != size {
+		t.Fatalf("rejected frame truncated: delta log %d bytes, was %d", got, size)
 	}
 }
 

@@ -12,17 +12,10 @@ import (
 
 const (
 	manifestMagic = "AQMF"
-	// manifestVersion 3 added the per-segment Format hint; version-2
-	// manifests (pre-columnar stores) still decode, with Format left
-	// unknown.
+	// manifestVersion 3 is the only manifest version read or written.
+	// Version 2 described stores of pre-columnar segment files, which
+	// no longer open.
 	manifestVersion = 3
-)
-
-// Segment file format hints recorded in SegmentRef.Format.
-const (
-	SegmentFormatUnknown = 0 // legacy manifest: sniff the file
-	SegmentFormatV1      = 1 // eager gob encoding
-	SegmentFormatV2      = 2 // block-compressed columnar, mmap-friendly
 )
 
 // ErrNoManifest reports that the directory holds no manifest — a fresh
@@ -40,12 +33,6 @@ type SegmentRef struct {
 	MaxTS      int64
 	MinEventID uint64
 	MaxEventID uint64
-	// Format is the segment file's format version (SegmentFormat*). It
-	// is a hint, not a contract: a v2 hint lets a reopening store defer
-	// the file open entirely (the ref already carries every bound a
-	// cold segment needs), while unknown or stale hints fall back to
-	// sniffing the file header on first access.
-	Format uint8
 }
 
 // Manifest is one edition of the durable store's metadata: the live
@@ -55,9 +42,10 @@ type SegmentRef struct {
 // written; editions replace each other atomically via rename.
 //
 // The encoding is the subsystem's manual little-endian format rather
-// than gob: the dictionary tables hold tens of thousands of entity
-// structs, and reflective decoding of those would eat a large slice of
-// the fast-load budget that file-per-segment persistence exists to win.
+// than a reflective codec: the dictionary tables hold tens of thousands
+// of entity structs, and reflective decoding of those would eat a large
+// slice of the fast-load budget that file-per-segment persistence
+// exists to win.
 type Manifest struct {
 	Edition     uint64
 	NextSegID   uint64
@@ -142,7 +130,7 @@ func EncodeManifest(m *Manifest) ([]byte, error) {
 		w.i64(r.MaxTS)
 		w.u64(r.MinEventID)
 		w.u64(r.MaxEventID)
-		w.u8(r.Format)
+		w.u8(seg2Version)
 	}
 	w.u32(checksum(w.buf[payloadStart:]))
 	return w.buf, nil
@@ -155,9 +143,8 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 	}
 	r := &byteReader{buf: buf, off: 4}
 	r.zeroCopyStrings()
-	ver := r.u32()
-	if ver != 2 && ver != manifestVersion {
-		return nil, fmt.Errorf("durable: unsupported manifest version %d", ver)
+	if ver := r.u32(); ver != manifestVersion {
+		return nil, fmt.Errorf("durable: unsupported manifest version %d (only version %d, which lists v2 columnar segment files, is supported)", ver, manifestVersion)
 	}
 	if len(buf) < 12+4 {
 		return nil, fmt.Errorf("durable: truncated manifest")
@@ -237,8 +224,8 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 		ref.MaxTS = r.i64()
 		ref.MinEventID = r.u64()
 		ref.MaxEventID = r.u64()
-		if ver >= 3 {
-			ref.Format = r.u8()
+		if err := checkRef(ref, r.u8()); err != nil && !r.fail {
+			return nil, err
 		}
 	}
 	if err := r.err("manifest"); err != nil {
@@ -261,6 +248,24 @@ func DecodeManifest(buf []byte) (*Manifest, error) {
 		m.Conns = nil
 	}
 	return m, nil
+}
+
+// checkRef validates one decoded segment ref and the format byte
+// stored beside it. Every writer names a segment's file
+// SegmentFileName(ID), so any other name is corruption — and would
+// otherwise let a crafted manifest read files outside the store
+// directory. A format byte of 1 marks a pre-columnar v1 segment file,
+// which no longer opens; refusing the ref here keeps a store from
+// opening with those segments silently missing. Format 0 was written
+// for compacted v2 segments by earlier releases and is accepted.
+func checkRef(ref *SegmentRef, format uint8) error {
+	if want := SegmentFileName(ref.ID); ref.File != want {
+		return corruptf("manifest names segment %d file %q, want %q", ref.ID, ref.File, want)
+	}
+	if format != 0 && format != seg2Version {
+		return fmt.Errorf("durable: manifest lists segment %d in format v%d; only v2 columnar segment files are supported", ref.ID, format)
+	}
+	return nil
 }
 
 // WriteManifest atomically installs a manifest edition in dir.

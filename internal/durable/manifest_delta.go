@@ -98,7 +98,7 @@ func encodeManifestDelta(d *ManifestDelta) []byte {
 		w.i64(r.MaxTS)
 		w.u64(r.MinEventID)
 		w.u64(r.MaxEventID)
-		w.u8(r.Format)
+		w.u8(seg2Version)
 	}
 	return w.buf
 }
@@ -181,7 +181,9 @@ func decodeManifestDelta(payload []byte) (*ManifestDelta, error) {
 			ref.MaxTS = r.i64()
 			ref.MinEventID = r.u64()
 			ref.MaxEventID = r.u64()
-			ref.Format = r.u8()
+			if err := checkRef(ref, r.u8()); err != nil && !r.fail {
+				return nil, err
+			}
 		}
 	}
 	if err := r.err("manifest delta"); err != nil {
@@ -220,7 +222,10 @@ func AppendManifestDelta(dir string, d *ManifestDelta) error {
 // Frames with editions the base already covers are skipped (a crash
 // between full-manifest write and delta truncation leaves them); a
 // torn, corrupt, or non-consecutive tail ends replay and is truncated
-// away, exactly like a torn WAL tail.
+// away, exactly like a torn WAL tail. A frame whose checksum holds but
+// whose content does not decode (or names a segment file no writer
+// produces) is not a torn append: truncating it would silently drop the
+// segments it lists, so it fails the replay instead.
 func ApplyManifestDeltas(dir string, m *Manifest) (int, error) {
 	path := filepath.Join(dir, ManifestDeltaName)
 	buf, err := os.ReadFile(path)
@@ -243,7 +248,7 @@ func ApplyManifestDeltas(dir string, m *Manifest) (int, error) {
 		}
 		d, err := decodeManifestDelta(payload)
 		if err != nil {
-			break // undecodable: treat as the tear point
+			return applied, fmt.Errorf("durable: %s frame at offset %d: %w", ManifestDeltaName, off, err)
 		}
 		off += walFrameOverhead + n
 		if d.Edition <= m.Edition {

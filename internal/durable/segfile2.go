@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
 	"unsafe"
 
@@ -346,34 +345,6 @@ func WriteSegmentFileV2(path string, d *SegmentData, compress bool) (int64, erro
 		return 0, fmt.Errorf("durable: sync segment %s: %w", path, err)
 	}
 	return int64(len(buf)), f.Close()
-}
-
-// ReplaceSegmentFile atomically replaces path with a new segment image
-// (temp file + fsync + rename). Used by the in-place v1→v2 upgrade.
-func ReplaceSegmentFile(path string, data []byte) error {
-	return writeFileAtomic(path, data)
-}
-
-// SegmentFileVersion reads just enough of path to report its format
-// version (1 or 2).
-func SegmentFileVersion(path string) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("durable: %w", err)
-	}
-	defer f.Close()
-	var hdr [8]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return 0, corruptf("segment file %s: short header", path)
-	}
-	magic, ver := string(hdr[:4]), binary.LittleEndian.Uint32(hdr[4:])
-	switch {
-	case magic == segMagic && ver == segVersion:
-		return 1, nil
-	case magic == seg2Magic && ver == seg2Version:
-		return 2, nil
-	}
-	return 0, corruptf("segment file %s: bad magic", path)
 }
 
 // SegmentReader is the lazy accessor over one opened v2 segment file.
@@ -722,9 +693,9 @@ func scatterCol(evs []sysmon.Event, col int, data []byte) {
 	}
 }
 
-// MaterializeEvents decodes the full segment into an AoS event slice
-// (the compatibility path for callers that need whole events: gob
-// export, compaction merges, the v1 upgrade tool).
+// MaterializeEvents decodes the full segment into an AoS event slice,
+// for callers that need whole events (compaction merges, posting-path
+// scans).
 func (rd *SegmentReader) MaterializeEvents() ([]sysmon.Event, error) {
 	evs := make([]sysmon.Event, rd.Count)
 	scratch := make([]byte, 0, rd.BlockLen*8)
@@ -774,58 +745,6 @@ func (rd *SegmentReader) ReadIndexes() (sub, obj map[sysmon.EntityID][]int32, er
 		return nil, nil, corruptf("segment %d: %v", rd.ID, err)
 	}
 	return sub, obj, nil
-}
-
-// OpenedSegment is the result of version-dispatched segment open: V1
-// eager data or a V2 lazy reader, never both.
-type OpenedSegment struct {
-	Version int
-	V1      *SegmentData
-	V2      *SegmentReader
-}
-
-// OpenSegment opens a segment file of either format version. The file
-// is opened (and on capable platforms mmap'd) exactly once: the
-// version is sniffed from the handle, v2 files wrap it in a lazy
-// reader, and v1 files are decoded out of it eagerly — cold-opening a
-// directory of v2 segments costs one open+map per file, no separate
-// version-probe read.
-func OpenSegment(path string) (*OpenedSegment, error) {
-	h, err := openHandle(path)
-	if err != nil {
-		return nil, err
-	}
-	if h.size() < 8 {
-		return nil, corruptf("segment file %s: short header", path)
-	}
-	hdr, _, err := h.readAt(0, 8)
-	if err != nil {
-		return nil, err
-	}
-	magic, ver := string(hdr[:4]), binary.LittleEndian.Uint32(hdr[4:])
-	switch {
-	case magic == segMagic && ver == segVersion:
-		buf, _, err := h.readAt(0, int(h.size()))
-		if err != nil {
-			return nil, err
-		}
-		d, err := DecodeSegment(buf)
-		// DecodeSegment copies every value out of buf, so nothing
-		// aliases the mapping afterwards — but the handle must stay
-		// alive until the decode is done reading it.
-		runtime.KeepAlive(h)
-		if err != nil {
-			return nil, fmt.Errorf("durable: segment file %s: %w", path, err)
-		}
-		return &OpenedSegment{Version: 1, V1: d}, nil
-	case magic == seg2Magic && ver == seg2Version:
-		rd, err := newSegmentReader(h)
-		if err != nil {
-			return nil, fmt.Errorf("durable: segment file %s: %w", path, err)
-		}
-		return &OpenedSegment{Version: 2, V2: rd}, nil
-	}
-	return nil, corruptf("segment file %s: bad magic", path)
 }
 
 // AsUint64s reinterprets b as a []uint64 without copying. Fails (ok

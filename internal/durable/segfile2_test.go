@@ -79,54 +79,6 @@ func TestSegmentV2RoundTrip(t *testing.T) {
 	}
 }
 
-func TestSegmentV2VersionDispatch(t *testing.T) {
-	dir := t.TempDir()
-	d := testSegment(64)
-	p1 := filepath.Join(dir, SegmentFileName(1))
-	p2 := filepath.Join(dir, SegmentFileName(2))
-	if _, err := WriteSegmentFile(p1, d); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteSegmentFileV2(p2, d, true); err != nil {
-		t.Fatal(err)
-	}
-	if v, err := SegmentFileVersion(p1); err != nil || v != 1 {
-		t.Fatalf("v1 file: version %d err %v", v, err)
-	}
-	if v, err := SegmentFileVersion(p2); err != nil || v != 2 {
-		t.Fatalf("v2 file: version %d err %v", v, err)
-	}
-	op1, err := OpenSegment(p1)
-	if err != nil || op1.V1 == nil || op1.V2 != nil {
-		t.Fatalf("open v1: %+v err %v", op1, err)
-	}
-	op2, err := OpenSegment(p2)
-	if err != nil || op2.V2 == nil || op2.V1 != nil {
-		t.Fatalf("open v2: %+v err %v", op2, err)
-	}
-	if !reflect.DeepEqual(op1.V1.Events, d.Events) {
-		t.Fatal("v1 events differ")
-	}
-	// In-place upgrade: replace the v1 file with a v2 image and reread.
-	if err := ReplaceSegmentFile(p1, EncodeSegmentV2(d, true)); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := SegmentFileVersion(p1); v != 2 {
-		t.Fatalf("after replace: version %d", v)
-	}
-	rd, err := OpenSegmentReader(p1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	evs, err := rd.MaterializeEvents()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(evs, d.Events) {
-		t.Fatal("upgraded events differ")
-	}
-}
-
 // Every targeted corruption — a flipped byte in a compressed block, in a
 // raw block, in the block directory, in the index section, in the
 // header, or in the footer — must surface as a typed ErrCorrupt (either
@@ -195,17 +147,16 @@ func TestSegmentV2Corruption(t *testing.T) {
 	}
 }
 
-// FuzzSegmentDecode drives arbitrary bytes through the version dispatch
-// and the full v2 lazy read path: whatever the mutation, the reader must
-// return an error or correct data — never panic, never index out of
-// range.
+// FuzzSegmentDecode drives arbitrary bytes through the full v2 lazy
+// read path: whatever the mutation, the reader must return an error or
+// correct data — never panic, never index out of range.
 func FuzzSegmentDecode(f *testing.F) {
 	small := testSegment(5)
 	big := testSegment(1500)
 	f.Add(EncodeSegmentV2(small, true))
 	f.Add(EncodeSegmentV2(small, false))
 	f.Add(EncodeSegmentV2(big, true))
-	f.Add(EncodeSegment(small))
+	f.Add(EncodeSegmentV2(&SegmentData{ID: 9, Events: testEvents(40)}, true))
 	buf := EncodeSegmentV2(big, true)
 	f.Add(buf[:len(buf)/2])
 	f.Add(buf[:seg2HeaderSize])
@@ -214,14 +165,10 @@ func FuzzSegmentDecode(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		op, err := OpenSegment(path)
+		rd, err := OpenSegmentReader(path)
 		if err != nil {
 			return
 		}
-		if op.V2 == nil {
-			return
-		}
-		rd := op.V2
 		if _, err := rd.MaterializeEvents(); err != nil {
 			return
 		}

@@ -124,9 +124,8 @@ func (u *ScanUnit) CollectBatch(ctx context.Context, cf *CompiledFilter, keep fu
 func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
 	if g := u.seg; g != nil {
 		if g.fileBacked() {
-			// Resolve a lazily restored segment before choosing a path:
-			// the open decides whether events live on the heap (v1
-			// fallback) or behind the column reader.
+			// Open a lazily restored segment before choosing a path:
+			// the column paths below peek at its reader.
 			g.fileReader()
 		}
 		if g.indexed && (g.ready.Load() || (g.fileBacked() && g.postingApplicable(cf.f) && g.ensureIndexes())) {

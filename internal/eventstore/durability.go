@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -40,13 +39,10 @@ import (
 // nothing: the segment file is ignored (and deleted as an orphan on the
 // next open) and its events are recovered from the WAL instead.
 
-// persistedSeg records one segment's on-disk file and format version
-// (SegmentFormat*), the latter written into manifest refs so a reopen
-// can defer v2 file opens entirely.
+// persistedSeg records one segment's on-disk file and its byte size.
 type persistedSeg struct {
 	file  string
 	bytes int64
-	ver   uint8
 }
 
 // durableState is a Store's attachment to its directory.
@@ -105,10 +101,13 @@ func (d *durableState) lastError() error {
 }
 
 // Open opens (creating or recovering) the durable store at opts.Dir:
-// manifest-listed segment files load back with their indexes — no
-// re-chunking, re-interning, or re-indexing — and the WAL replays the
-// committed-but-unsealed tail into memtables. A torn final WAL record
-// (crash mid append) is truncated; every record before it is recovered.
+// manifest-listed segment files come back lazily, opened (with their
+// indexes) on first touch — no re-chunking, re-interning, or
+// re-indexing — and the WAL replays the committed-but-unsealed tail
+// into memtables. A torn final WAL record (crash mid append) is
+// truncated; every record before it is recovered. A manifest that lists
+// segment files in a format other than v2 fails the open rather than
+// serving a store with segments missing.
 func Open(opts Options) (*Store, error) {
 	opts = opts.normalized()
 	if opts.Dir == "" {
@@ -141,7 +140,6 @@ func Open(opts Options) (*Store, error) {
 	}
 
 	maxSealed := make(map[PartKey]uint64)
-	var toIndex []*Segment
 	m, err := durable.ReadManifest(opts.Dir)
 	switch {
 	case err == nil:
@@ -156,10 +154,7 @@ func Open(opts Options) (*Store, error) {
 			return nil, fmt.Errorf("eventstore: recover %s: %w", opts.Dir, err)
 		}
 		// The dictionary rebuild (intern maps + attribute indexes over
-		// tens of thousands of entities) and the segment file loads are
-		// independent; run them concurrently, with the files themselves
-		// decoded by a worker pool — this is where load-without-replay
-		// wins its wall-clock over gob.
+		// tens of thousands of entities) runs beside the segment restore.
 		dictDone := make(chan struct{})
 		go func() {
 			defer close(dictDone)
@@ -171,98 +166,23 @@ func Open(opts Options) (*Store, error) {
 			s.nextSeq[agent] = seq
 		}
 		d.edition = m.Edition
-		loaded := make([]*Segment, len(m.Segments))
-		sizes := make([]int64, len(m.Segments))
-		vers := make([]uint8, len(m.Segments))
-		var loadErr error
-		var loadMu sync.Mutex
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
+		// Segments restore in manifest (scan) order. The ref carries every
+		// bound a cold segment needs, so no file is opened here: one Stat
+		// confirms it exists (and sizes the stats), and the open —
+		// syscalls, footer decode, block directory — waits until a scan
+		// first touches the segment. A segment file written without its
+		// indexes (a crash in the seal's index window) serves sequential
+		// scans until compaction rewrites it.
+		var statErr error
 		for i := range m.Segments {
 			ref := &m.Segments[i]
 			path := filepath.Join(opts.Dir, ref.File)
-			if ref.Format == durable.SegmentFormatV2 {
-				// The ref carries every bound a cold segment needs, so a
-				// v2 file is not even opened here: one Stat confirms it
-				// exists (and sizes the stats), and the open — syscalls,
-				// footer decode, block directory — is deferred until a
-				// scan first touches the segment. A stale hint degrades
-				// gracefully: first access sniffs the header and falls
-				// back to an eager v1 decode.
-				fi, serr := os.Stat(path)
-				if serr != nil {
-					loadMu.Lock()
-					if loadErr == nil {
-						loadErr = fmt.Errorf("segment file %s: %w", ref.File, serr)
-					}
-					loadMu.Unlock()
-					continue
-				}
-				loaded[i] = restoreSegmentLazy(ref, path, opts.Indexes, s.blockCache, d.setErr)
-				sizes[i] = fi.Size()
-				vers[i] = durable.SegmentFormatV2
-				continue
+			fi, err := os.Stat(path)
+			if err != nil {
+				statErr = fmt.Errorf("segment file %s: %w", ref.File, err)
+				break
 			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, ref *durable.SegmentRef, path string) {
-				defer func() { <-sem; wg.Done() }()
-				// Version dispatch: v2 files open as mmap-backed readers
-				// (footer + block directory only — no event decode), v1
-				// files keep the eager heap decode for compatibility.
-				op, err := durable.OpenSegment(path)
-				if err == nil {
-					switch {
-					case op.V2 != nil:
-						rd := op.V2
-						if rd.ID != ref.ID || rd.Count != ref.Events {
-							err = fmt.Errorf("segment file %s does not match manifest (id %d vs %d, %d events vs %d)",
-								ref.File, rd.ID, ref.ID, rd.Count, ref.Events)
-							break
-						}
-						loaded[i] = restoreSegmentFromReader(rd, opts.Indexes, s.blockCache, d.setErr)
-						sizes[i] = rd.Size()
-						vers[i] = durable.SegmentFormatV2
-					default:
-						sd := op.V1
-						if sd.ID != ref.ID || len(sd.Events) != ref.Events {
-							err = fmt.Errorf("segment file %s does not match manifest (id %d vs %d, %d events vs %d)",
-								ref.File, sd.ID, ref.ID, len(sd.Events), ref.Events)
-							break
-						}
-						loaded[i] = restoreSegment(sd, opts.Indexes)
-						vers[i] = durable.SegmentFormatV1
-						if fi, serr := os.Stat(path); serr == nil {
-							sizes[i] = fi.Size()
-						}
-					}
-				}
-				if err != nil {
-					loadMu.Lock()
-					if loadErr == nil {
-						loadErr = err
-					}
-					loadMu.Unlock()
-				}
-			}(i, ref, path)
-		}
-		wg.Wait()
-		<-dictDone
-		if loadErr != nil {
-			return nil, fmt.Errorf("eventstore: recover %s: %w", opts.Dir, loadErr)
-		}
-		// assemble chains in manifest (scan) order
-		for i, g := range loaded {
-			// Lazily restored segments are never queued for an index
-			// rebuild: forcing their files open would defeat the lazy
-			// restore, and v2 files written by seal or compaction carry
-			// their indexes anyway. The rare unindexed one (a crash in
-			// the seal's index window) serves sequential scans until
-			// compaction rewrites it.
-			rd := g.reader()
-			if opts.Indexes && !g.ready.Load() && g.lazyPath == "" && !(rd != nil && rd.Indexed) {
-				toIndex = append(toIndex, g) // persisted before its indexes were built
-			}
+			g := restoreSegmentLazy(ref, path, opts.Indexes, s.blockCache, d.setErr)
 			p := s.parts[g.key]
 			if p == nil {
 				p = &partState{key: g.key}
@@ -270,12 +190,16 @@ func Open(opts Options) (*Store, error) {
 				s.order = append(s.order, g.key)
 			}
 			p.segs = append(p.segs, g)
-			d.persisted[g.id] = persistedSeg{file: m.Segments[i].File, bytes: sizes[i], ver: vers[i]}
+			d.persisted[g.id] = persistedSeg{file: ref.File, bytes: fi.Size()}
 			d.manifested[g.id] = true
 			if g.maxEventID > maxSealed[g.key] {
 				maxSealed[g.key] = g.maxEventID
 			}
 			s.noteEventsLocked(g.Len(), g.minTS, g.maxTS)
+		}
+		<-dictDone
+		if statErr != nil {
+			return nil, fmt.Errorf("eventstore: recover %s: %w", opts.Dir, statErr)
 		}
 		d.manifestedProcs, d.manifestedFiles, d.manifestedConns = len(m.Procs), len(m.Files), len(m.Conns)
 	case errors.Is(err, durable.ErrNoManifest):
@@ -352,7 +276,6 @@ func Open(opts Options) (*Store, error) {
 	d.loggedFiles = s.dict.Count(sysmon.EntityFile)
 	d.loggedConns = s.dict.Count(sysmon.EntityNetconn)
 	s.dur = d
-	indexSegments(toIndex)
 	removeOrphans(opts.Dir, d.persisted)
 	opened = true
 	return s, nil
@@ -448,7 +371,7 @@ func (s *Store) persistSealed(segs []*Segment) {
 			d.setErr(err)
 			return
 		}
-		d.persisted[g.id] = persistedSeg{file: name, bytes: n, ver: durable.SegmentFormatV2}
+		d.persisted[g.id] = persistedSeg{file: name, bytes: n}
 	}
 	if !s.appendManifestDeltaLocked() {
 		s.writeManifestLocked()
@@ -515,7 +438,6 @@ func (s *Store) appendManifestDeltaLocked() bool {
 				MaxTS:      g.maxTS,
 				MinEventID: g.minEventID,
 				MaxEventID: g.maxEventID,
-				Format:     ps.ver,
 			})
 		}
 	}
@@ -585,7 +507,6 @@ func (s *Store) writeManifestLocked() {
 				MaxTS:      g.maxTS,
 				MinEventID: g.minEventID,
 				MaxEventID: g.maxEventID,
-				Format:     ps.ver,
 			})
 		}
 	}
@@ -619,9 +540,9 @@ func (s *Store) writeManifestLocked() {
 // directory: every chunk is sealed, each segment becomes one file, and
 // a first manifest edition lists them all (so the WAL starts empty).
 // The target must not already contain a durable store. The caller must
-// quiesce writers for the duration. This is the migration path from
-// legacy gob snapshots: LoadFile + SaveDir, then Open serves the
-// directory from then on.
+// quiesce writers for the duration. This is how a generated or
+// in-memory store becomes a dataset: Open serves the directory from
+// then on.
 func (s *Store) SaveDir(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("eventstore: %w", err)
@@ -669,77 +590,10 @@ func (s *Store) SaveDir(dir string) error {
 				MaxTS:      g.maxTS,
 				MinEventID: g.minEventID,
 				MaxEventID: g.maxEventID,
-				Format:     durable.SegmentFormatV2,
 			})
 		}
 	}
 	return durable.WriteManifest(dir, m)
-}
-
-// UpgradeSegments rewrites every persisted v1 segment file in place in
-// the v2 columnar format, returning how many were upgraded. Filenames,
-// event counts, and IDs are unchanged, so the manifest stays valid as
-// is; already-v2 files are left alone. In-memory segments keep serving
-// their heap copies — the mmap-backed read path engages on the next
-// Open. Safe to call on a live store; the rewrite uses the same
-// atomic-replace discipline as every other durable write.
-func (s *Store) UpgradeSegments() (int, error) {
-	d := s.dur
-	if d == nil {
-		return 0, fmt.Errorf("eventstore: UpgradeSegments requires a durable store")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if s.closed.Load() {
-		return 0, ErrClosed
-	}
-	s.mu.RLock()
-	segs := make([]*Segment, 0, len(d.persisted))
-	for _, key := range s.order {
-		segs = append(segs, s.parts[key].segs...)
-	}
-	s.mu.RUnlock()
-	upgraded := 0
-	for _, g := range segs {
-		ps, ok := d.persisted[g.id]
-		if !ok {
-			continue
-		}
-		path := filepath.Join(d.dir, ps.file)
-		ver, err := durable.SegmentFileVersion(path)
-		if err != nil {
-			return upgraded, err
-		}
-		if ver >= 2 {
-			continue
-		}
-		g.buildIndexes() // idempotent; the v2 file carries the indexes
-		data := durable.EncodeSegmentV2(g.segmentData(), s.opts.SegmentCompression != "none")
-		if err := durable.ReplaceSegmentFile(path, data); err != nil {
-			return upgraded, err
-		}
-		d.persisted[g.id] = persistedSeg{file: ps.file, bytes: int64(len(data)), ver: durable.SegmentFormatV2}
-		upgraded++
-	}
-	if upgraded > 0 {
-		// Refresh the manifest's Format hints so the next Open defers
-		// the upgraded files' opens instead of sniffing each header.
-		s.writeManifestLocked()
-	}
-	return upgraded, nil
-}
-
-// MigrateGobToDir converts a legacy gob snapshot into a durable store
-// directory with the given options. The directory can then be served
-// with Open — no gob replay, re-interning, or re-indexing on any later
-// load.
-func MigrateGobToDir(gobPath, dir string, opts Options) error {
-	opts.Dir = ""
-	s, err := LoadFile(gobPath, opts)
-	if err != nil {
-		return err
-	}
-	return s.SaveDir(dir)
 }
 
 // Dir returns the durable directory backing the store; empty for

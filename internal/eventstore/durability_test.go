@@ -179,7 +179,7 @@ func TestRecoveryRemovesOrphanSegments(t *testing.T) {
 	crash(s)
 
 	orphan := filepath.Join(dir, durable.SegmentFileName(999))
-	if _, err := durable.WriteSegmentFile(orphan, &durable.SegmentData{ID: 999}); err != nil {
+	if _, err := durable.WriteSegmentFileV2(orphan, &durable.SegmentData{ID: 999}, true); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(durableOpts(dir))
@@ -267,20 +267,14 @@ func TestOpenRejectsMismatchedLayout(t *testing.T) {
 }
 
 func TestSaveDirMigrateRoundTrip(t *testing.T) {
-	// legacy path: an in-memory store saved as a gob snapshot
+	// an in-memory store written out as a durable directory
 	mem := New(DefaultOptions())
 	fill(mem, 40, 0)
 	mem.Flush()
-	gobPath := filepath.Join(t.TempDir(), "legacy.aiql")
-	if err := mem.SaveFile(gobPath); err != nil {
-		t.Fatal(err)
-	}
 	want := eventStrings(mem)
-
-	// migrate the gob snapshot into a durable directory
 	dir := filepath.Join(t.TempDir(), "store")
 	opts := DefaultOptions()
-	if err := MigrateGobToDir(gobPath, dir, opts); err != nil {
+	if err := mem.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	opts.Dir = dir
@@ -290,14 +284,14 @@ func TestSaveDirMigrateRoundTrip(t *testing.T) {
 	}
 	defer s.Close()
 	if got := eventStrings(s); !reflect.DeepEqual(got, want) {
-		t.Fatalf("migrated store differs: %d vs %d events", len(got), len(want))
+		t.Fatalf("saved store differs: %d vs %d events", len(got), len(want))
 	}
 	if st := s.DurableStats(); st.WALBytes != 0 || st.SegmentFiles == 0 {
-		t.Fatalf("migrated directory: %+v", st)
+		t.Fatalf("saved directory: %+v", st)
 	}
-	// migrating onto an existing durable directory must refuse
-	if err := MigrateGobToDir(gobPath, dir, DefaultOptions()); err == nil {
-		t.Fatal("migration overwrote an existing durable store")
+	// saving onto an existing durable directory must refuse
+	if err := mem.SaveDir(dir); err == nil {
+		t.Fatal("SaveDir overwrote an existing durable store")
 	}
 }
 
@@ -456,35 +450,6 @@ func TestBackgroundCompactor(t *testing.T) {
 	s.StopCompactor()
 	s.StopCompactor() // idempotent
 }
-
-// Encode must not hold the store lock for the duration of the gob
-// encode: a writer appending concurrently must not deadlock or race,
-// and the snapshot must be a consistent committed prefix. Run with -race.
-func TestEncodeConcurrentWithAppends(t *testing.T) {
-	s := New(DefaultOptions())
-	fill(s, 64, 0)
-	s.Flush()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		fill(s, 256, 1000)
-	}()
-	for i := 0; i < 10; i++ {
-		var sink countingWriter
-		if err := s.Encode(&sink); err != nil {
-			t.Error(err)
-		}
-		if sink.n == 0 {
-			t.Error("empty encode")
-		}
-	}
-	wg.Wait()
-}
-
-type countingWriter struct{ n int64 }
-
-func (w *countingWriter) Write(p []byte) (int, error) { w.n += int64(len(p)); return len(p), nil }
 
 // A bulk AppendAll under SyncWAL must group-commit: the batch spans
 // many internal commits (BatchSize boundaries plus the tail), but the

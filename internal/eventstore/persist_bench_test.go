@@ -3,32 +3,27 @@ package eventstore_test
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
-	"github.com/aiql/aiql/internal/durable"
 	"github.com/aiql/aiql/internal/eventstore"
 	"github.com/aiql/aiql/internal/experiments"
 )
 
-// The persistence benchmarks quantify the paper's storage argument at
-// the durability layer: loading a dataset from file-per-segment
-// snapshots (decode columnar blocks + restore prebuilt indexes) versus
-// replaying a flat gob log (re-intern every entity, re-chunk, re-seal,
-// and re-index every event). Run via `make bench-persist`, which emits
+// The persistence benchmark quantifies the paper's storage argument at
+// the durability layer: opening a dataset from its directory of
+// file-per-segment snapshots performs no re-interning, re-chunking, or
+// re-indexing of events. Run via `make bench-persist`, which emits
 // BENCH_persist.json for the CI perf-trajectory artifact.
 
 var persistFixture struct {
-	once    sync.Once
-	gobPath string
-	dir     string
-	dirV1   string
-	events  int
-	err     error
+	once   sync.Once
+	dir    string
+	events int
+	err    error
 }
 
-func persistSetup(b *testing.B) (gobPath, dir string, events int) {
+func persistSetup(b *testing.B) (dir string, events int) {
 	f := &persistFixture
 	f.once.Do(func() {
 		s := experiments.BuildStore(experiments.Fig4Dataset(50000, 10, 42))
@@ -41,143 +36,24 @@ func persistSetup(b *testing.B) (gobPath, dir string, events int) {
 			f.err = err
 			return
 		}
-		f.gobPath = filepath.Join(base, "fig4.aiql")
-		if f.err = s.SaveFile(f.gobPath); f.err != nil {
-			return
-		}
 		f.dir = filepath.Join(base, "fig4store")
-		if f.err = s.SaveDir(f.dir); f.err != nil {
-			return
-		}
-		f.dirV1 = filepath.Join(base, "fig4store-v1")
-		f.err = cloneDirAsV1(f.dir, f.dirV1)
+		f.err = s.SaveDir(f.dir)
 	})
 	if f.err != nil {
 		b.Fatal(f.err)
 	}
-	return f.gobPath, f.dir, f.events
+	return f.dir, f.events
 }
 
-// cloneDirAsV1 copies a durable directory and rewrites its segment
-// files in the pre-columnar v1 gob format, recreating the layout the
-// store produced before v2 existed. Filenames and counts are
-// unchanged, so the copied manifest stays valid.
-func cloneDirAsV1(src, dst string) error {
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return err
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		if e.IsDir() {
-			continue
-		}
-		buf, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			return err
-		}
-		if strings.HasPrefix(e.Name(), "seg-") && strings.HasSuffix(e.Name(), ".seg") {
-			op, err := durable.OpenSegment(filepath.Join(src, e.Name()))
-			if err != nil {
-				return err
-			}
-			if op.V2 != nil {
-				evs, err := op.V2.MaterializeEvents()
-				if err != nil {
-					return err
-				}
-				sub, obj, err := op.V2.ReadIndexes()
-				if err != nil {
-					return err
-				}
-				buf = durable.EncodeSegment(&durable.SegmentData{
-					ID: op.V2.ID, AgentID: op.V2.AgentID, Bucket: op.V2.Bucket,
-					Events: evs, Indexed: op.V2.Indexed,
-					PostingSub: sub, PostingObj: obj, OpCount: op.V2.OpCount,
-				})
-			}
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), buf, 0o644); err != nil {
-			return err
-		}
-	}
-	// A pre-columnar manifest carried no Format hints; clear them in the
-	// clone so its open exercises the legacy eager-decode path instead
-	// of deferring to the v2 lazy restore.
-	m, err := durable.ReadManifest(dst)
-	if err != nil {
-		return err
-	}
-	if _, err := durable.ApplyManifestDeltas(dst, m); err != nil {
-		return err
-	}
-	for i := range m.Segments {
-		m.Segments[i].Format = durable.SegmentFormatUnknown
-	}
-	if err := durable.WriteManifest(dst, m); err != nil {
-		return err
-	}
-	return durable.RemoveManifestDelta(dst)
-}
-
-// BenchmarkPersistGobReplay loads the Fig4 50k dataset from a legacy
-// gob snapshot: the flat event log is decoded and every event is
-// re-interned, re-chunked, re-sealed, and re-indexed.
-func BenchmarkPersistGobReplay(b *testing.B) {
-	gobPath, _, events := persistSetup(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := eventstore.LoadFile(gobPath, eventstore.DefaultOptions())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Len() != events {
-			b.Fatalf("loaded %d events, want %d", s.Len(), events)
-		}
-	}
-}
-
-// BenchmarkPersistSegmentLoad opens the same dataset from its durable
-// directory of v2 columnar segment files: each file is mmap'd and only
-// its footer and block directory are read at open — column blocks
-// decompress lazily on first scan. This is the mmap cold-open side of
-// the v1-vs-v2 comparison; heap-bytes/mapped-bytes record where the
-// opened store's resident data lives.
+// BenchmarkPersistSegmentLoad opens the Fig4 50k dataset from its
+// durable directory of v2 columnar segment files: the manifest is
+// decoded and every segment restored from its ref alone — segment files
+// are opened, mmap'd, and decoded lazily on first scan. heap-bytes and
+// mapped-bytes record where the opened store's resident data lives.
 func BenchmarkPersistSegmentLoad(b *testing.B) {
-	_, dir, events := persistSetup(b)
+	dir, events := persistSetup(b)
 	opts := eventstore.DefaultOptions()
 	opts.Dir = dir
-	b.ReportAllocs()
-	b.ResetTimer()
-	var st eventstore.StorageStats
-	for i := 0; i < b.N; i++ {
-		s, err := eventstore.Open(opts)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if s.Len() != events {
-			b.Fatalf("loaded %d events, want %d", s.Len(), events)
-		}
-		b.StopTimer()
-		st = s.StorageStats()
-		s.Close()
-		b.StartTimer()
-	}
-	b.ReportMetric(float64(st.HeapBytes), "heap-bytes")
-	b.ReportMetric(float64(st.MappedBytes), "mapped-bytes")
-}
-
-// BenchmarkPersistSegmentLoadV1Eager opens the identical dataset from a
-// directory of pre-columnar v1 gob segment files: every segment is
-// fully decoded onto the heap at open. The eager-decode side of the
-// v1-vs-v2 cold-open comparison.
-func BenchmarkPersistSegmentLoadV1Eager(b *testing.B) {
-	_, _, events := persistSetup(b)
-	opts := eventstore.DefaultOptions()
-	opts.Dir = persistFixture.dirV1
 	b.ReportAllocs()
 	b.ResetTimer()
 	var st eventstore.StorageStats

@@ -51,8 +51,8 @@ func (s *Store) SegmentStats() SegmentStats {
 
 // StorageStats describes where sealed-segment bytes live: mapped (v2
 // segment files served through mmap — resident only as the page cache
-// decides), heap (eagerly decoded v1 segments, lazily materialized
-// events, and cached decompressed blocks), and the block cache's
+// decides), heap (freshly sealed segments, lazily materialized events,
+// and cached decompressed blocks), and the block cache's
 // hit/miss/eviction counters.
 type StorageStats struct {
 	MappedBytes int64           `json:"mapped_bytes"`
