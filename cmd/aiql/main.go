@@ -21,7 +21,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/aiql/aiql/internal/experiments"
+	"github.com/aiql/aiql/internal/datagen"
 	"github.com/aiql/aiql/internal/obs"
 
 	aiql "github.com/aiql/aiql"
@@ -68,7 +68,7 @@ func main() {
 func openDB(path string) *aiql.DB {
 	if path == "" {
 		fmt.Fprintln(os.Stderr, "no -data given; generating the built-in demo dataset (50k events, demo-apt scenario)")
-		return aiql.FromStore(experiments.BuildStore(experiments.Fig4Dataset(50000, 10, 42)))
+		return aiql.FromStore(datagen.BuildStore(datagen.Fig4Dataset(50000, 10, 42)))
 	}
 	// OpenDir creates a missing directory; a mistyped -data must fail
 	// instead of querying a new, empty store.

@@ -63,7 +63,7 @@ import (
 	"time"
 
 	"github.com/aiql/aiql/internal/catalog"
-	"github.com/aiql/aiql/internal/experiments"
+	"github.com/aiql/aiql/internal/datagen"
 	"github.com/aiql/aiql/internal/obs"
 	"github.com/aiql/aiql/internal/service"
 	"github.com/aiql/aiql/internal/shard"
@@ -183,7 +183,7 @@ func main() {
 	}
 	if len(cat.Names()) == 0 {
 		fmt.Fprintln(os.Stderr, "no -data-dir, -datasets or -shards given; generating the built-in demo dataset (50k events, demo-apt scenario)")
-		db := aiql.FromStore(experiments.BuildStore(experiments.Fig4Dataset(50000, 10, 42)))
+		db := aiql.FromStore(datagen.BuildStore(datagen.Fig4Dataset(50000, 10, 42)))
 		db.Flush() // seal the generated data so segment reuse applies immediately
 		if _, err := cat.AddDB("demo", db); err != nil {
 			fatal(err)

@@ -114,6 +114,24 @@ func GenerateInto(s *eventstore.Store, cfg Config) int {
 	return len(recs)
 }
 
+// BuildStore generates a dataset into a fully optimized in-memory store.
+func BuildStore(cfg Config) *eventstore.Store {
+	s := eventstore.New(eventstore.DefaultOptions())
+	GenerateInto(s, cfg)
+	return s
+}
+
+// Fig4Dataset is the demo-apt configuration of the paper's Figure 4
+// workload, which the servers also load as their demo dataset.
+func Fig4Dataset(events, hosts int, seed int64) Config {
+	return Config{
+		Seed:      seed,
+		Hosts:     hosts,
+		Events:    events,
+		Scenarios: []Scenario{ScenarioDemoAPT},
+	}
+}
+
 func sortRecords(recs []eventstore.Record) {
 	// insertion-friendly sort by timestamp: use sort.SliceStable for
 	// deterministic ordering of equal timestamps

@@ -24,13 +24,12 @@ import (
 )
 
 // Config toggles the engine's optimizations, for the scheduling ablation
-// experiment (E6 in DESIGN.md).
+// experiment (E6 in DESIGN.md). Every configuration runs the same scan
+// loop: "no parallelism" is ScanWorkers 1, the executor with no helpers.
 type Config struct {
 	// DisableReordering executes event patterns in syntactic order
 	// instead of pruning-power order.
 	DisableReordering bool
-	// DisableParallel scans partitions sequentially.
-	DisableParallel bool
 	// ScanCacheBytes, when positive, enables the segment scan cache with
 	// the given byte budget: per-pattern filtered scan results over
 	// sealed segments are cached by (filter fingerprint, segment id) and

@@ -14,11 +14,12 @@ import (
 // This file is the parallel scan executor: each (pattern filter ×
 // scan unit) becomes an independent task, scheduled onto the engine's
 // bounded worker pool, with results handed downstream strictly in the
-// snapshot's deterministic unit order. Because consumption order is
-// identical to the sequential walk, everything built on emission order
-// — cursor semantics, LIMIT pushdown, pagination tokens, distinct
-// dedup — behaves byte-for-byte the same whether zero or many helpers
-// are running.
+// snapshot's deterministic unit order. Because consumption order does
+// not depend on the helpers, everything built on emission order —
+// cursor semantics, LIMIT pushdown, pagination tokens, distinct dedup —
+// behaves byte-for-byte the same whether zero or many helpers are
+// running. It is the engine's only scan loop: ScanWorkers 1 (no
+// helpers) is the sequential configuration.
 //
 // The merging goroutine always participates: it claims and scans any
 // unit a helper has not taken before waiting on it, so the executor
@@ -40,7 +41,7 @@ type unitResult struct {
 // returning, so execution statistics are final). Sealed-unit batches
 // are served from the scan cache when present and fill it when
 // scanned to completion; hit/miss accounting happens at consume time
-// only, so the counters match the sequential walk exactly. A non-zero
+// only, so the counters do not depend on the helpers. A non-zero
 // limitHint shrinks the helper lookahead window, bounding the work
 // wasted past a satisfied limit.
 func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.ScanUnit, filter *eventstore.EventFilter, preds []evtPred, stats *ExecStats, limitHint int, consume func(batch []sysmon.Event) bool) error {

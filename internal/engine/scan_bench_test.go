@@ -62,8 +62,8 @@ func scanBenchFilter() *eventstore.EventFilter {
 }
 
 // BenchmarkScanColdSequential is the pre-batching reference: the
-// row-at-a-time callback loop the engine's DisableParallel path runs,
-// one matches() call per event.
+// row-at-a-time callback loop ScanUnit.Scan runs (the engine scans
+// through the batch kernel instead), one matches() call per event.
 func BenchmarkScanColdSequential(b *testing.B) {
 	store := scanBenchSetup(b)
 	filter := scanBenchFilter()

@@ -49,11 +49,7 @@ func (o RunOptions) repeat() int {
 }
 
 // BuildStore generates a dataset into a fully optimized store.
-func BuildStore(cfg datagen.Config) *eventstore.Store {
-	s := eventstore.New(eventstore.DefaultOptions())
-	datagen.GenerateInto(s, cfg)
-	return s
-}
+func BuildStore(cfg datagen.Config) *eventstore.Store { return datagen.BuildStore(cfg) }
 
 func sortedRowKeys(rows [][]string) []string {
 	out := make([]string, len(rows))
@@ -333,8 +329,8 @@ func SchedulingVariants() []SchedulingVariant {
 	return []SchedulingVariant{
 		{Name: "optimized", Cfg: engine.Config{}},
 		{Name: "no-reordering", Cfg: engine.Config{DisableReordering: true}},
-		{Name: "no-parallelism", Cfg: engine.Config{DisableParallel: true}},
-		{Name: "neither", Cfg: engine.Config{DisableReordering: true, DisableParallel: true}},
+		{Name: "no-parallelism", Cfg: engine.Config{ScanWorkers: 1}},
+		{Name: "neither", Cfg: engine.Config{DisableReordering: true, ScanWorkers: 1}},
 	}
 }
 

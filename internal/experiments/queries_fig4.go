@@ -146,10 +146,5 @@ return distinct p1, p2, p3, f1, p4, i1`},
 
 // Fig4Dataset generates the demo-apt store configuration used by E1/E2.
 func Fig4Dataset(events, hosts int, seed int64) datagen.Config {
-	return datagen.Config{
-		Seed:      seed,
-		Hosts:     hosts,
-		Events:    events,
-		Scenarios: []datagen.Scenario{datagen.ScenarioDemoAPT},
-	}
+	return datagen.Fig4Dataset(events, hosts, seed)
 }

@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 
+	aiql "github.com/aiql/aiql"
 	"github.com/aiql/aiql/internal/engine"
 )
 
-// ShardQuery is one query the service hands to its shard backend for
-// scatter-gather execution. The query travels as template text plus raw
-// bindings — prepared statements fan out by fingerprint, each member
-// compiling (or reusing) the template against its own store.
+// ShardQuery is one query the service hands to its backend. A shard
+// coordinator fans it out as template text plus raw bindings — prepared
+// statements fan out by fingerprint, each member compiling (or reusing)
+// the template against its own store.
 type ShardQuery struct {
 	// Query is the AIQL text: a template when Params is non-empty,
 	// plain text otherwise.
@@ -34,6 +35,11 @@ type ShardQuery struct {
 	// RequireAll fails the query on any unreachable member instead of
 	// degrading to partial results with warnings.
 	RequireAll bool
+
+	// stmt is the statement the service compiled against its own
+	// database. Only the local backend reads it; a coordinator cannot,
+	// so a planning-database statement never reaches a member.
+	stmt *aiql.Stmt
 }
 
 // ShardWarning reports one member that could not contribute to a
@@ -70,29 +76,73 @@ type ShardStats struct {
 	Members    []ShardMemberStats `json:"members"`
 }
 
-// ShardBackend executes queries across a sharded dataset's members. The
-// service stays the single admission/caching/pagination layer; the
-// backend owns fan-out, per-member transport, pruning, and the
-// deterministic merge. Implementations must be safe for concurrent use.
+// ShardBackend executes the service's queries. The service stays the
+// single admission/caching/pagination layer over one of two backends:
+// the local store (the one-member case), or a shard coordinator that
+// owns fan-out, per-member transport, pruning, and the deterministic
+// merge. Implementations must be safe for concurrent use.
 type ShardBackend interface {
-	// Run scatter-gathers the full result: every member's sorted rows,
-	// k-way merge-sorted with engine.RowLess — byte-identical to the
-	// same data executed in one store. Warnings name members that
-	// could not contribute (nil error: partial result).
+	// Run returns the full result in canonical sorted order. A
+	// coordinator scatter-gathers it: every member's sorted rows, k-way
+	// merge-sorted with engine.RowLess — byte-identical to the same data
+	// executed in one store. Warnings name members that could not
+	// contribute (nil error: partial result).
 	Run(ctx context.Context, q ShardQuery) (*engine.Result, []ShardWarning, error)
-	// RunStream merge-streams rows in sorted order as members produce
-	// them: header is called once before any row. A positive q.Limit
-	// cancels member streams after the merged limit is reached.
+	// RunStream streams rows as they are produced: header is called once
+	// before any row, and a positive q.Limit stops the stream after that
+	// many rows. A coordinator merge-streams its members in sorted order
+	// (cancelling member streams once the merged limit is reached); the
+	// local store streams in production order.
 	RunStream(ctx context.Context, q ShardQuery, header func(cols []string) error, row func([]string) error) (engine.ExecStats, []ShardWarning, error)
-	// Generation identifies the members' combined store version for
-	// result-cache keying: it changes whenever any local member
-	// commits or a remote member's probed epoch moves.
+	// Generation identifies the store version results are computed
+	// over, for result-cache keying. A coordinator's changes whenever
+	// any local member commits or a remote member's probed epoch moves.
 	Generation() uint64
-	// Stats snapshots the coordinator's counters.
+	// Stats snapshots a coordinator's counters (nil for the local
+	// store).
 	Stats() *ShardStats
 	// Close stops probes and releases member transports.
 	Close() error
 }
+
+// localBackend executes on the service's own store.
+type localBackend struct{ db *aiql.DB }
+
+// Run executes the compiled statement, materializing the result in
+// canonical sorted order.
+func (b localBackend) Run(ctx context.Context, q ShardQuery) (*engine.Result, []ShardWarning, error) {
+	res, err := q.stmt.Exec(ctx, q.Params)
+	return res, nil, err
+}
+
+// RunStream walks the statement's cursor in production order with
+// q.Limit pushed into the scan.
+func (b localBackend) RunStream(ctx context.Context, q ShardQuery, header func(cols []string) error, row func([]string) error) (engine.ExecStats, []ShardWarning, error) {
+	cur, err := q.stmt.ExecCursor(ctx, q.Params, aiql.CursorOptions{Limit: q.Limit})
+	if err != nil {
+		return engine.ExecStats{}, nil, err
+	}
+	err = header(cur.Columns())
+	for err == nil && cur.Next() {
+		err = row(cur.Row())
+	}
+	if err == nil {
+		err = cur.Err()
+	}
+	// Close blocks until in-flight scans observe the abort, so the
+	// statistics are final whether the stream completed, failed, or was
+	// abandoned by its sink.
+	cur.Close()
+	return cur.Stats(), nil, err
+}
+
+// Generation is the store's commit counter.
+func (b localBackend) Generation() uint64 { return b.db.Commits() }
+
+func (b localBackend) Stats() *ShardStats { return nil }
+
+// Close is a no-op: the service does not own its database.
+func (b localBackend) Close() error { return nil }
 
 // WithRetryHint decorates err with the backoff (whole seconds) the
 // client should observe before retrying; the HTTP layer surfaces it as

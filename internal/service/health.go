@@ -32,7 +32,7 @@ func (s *Service) Health() Health {
 		Status:    "ok",
 		StoreOpen: open,
 		WALHeld:   open && s.db.DurableStats().Dir != "",
-		Sharded:   s.shards != nil,
+		Sharded:   s.Sharded(),
 	}
 	if !open {
 		h.Status = "unavailable"

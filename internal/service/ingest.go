@@ -183,7 +183,7 @@ type IngestResult struct {
 // resends it against the swapped-in store.
 func (s *Service) Ingest(ctx context.Context, client string, recs []aiql.Record) (*IngestResult, error) {
 	start := time.Now()
-	if s.shards != nil {
+	if s.Sharded() {
 		s.ingestRejected.Add(1)
 		return nil, &apiError{status: http.StatusBadRequest, code: CodeUnsupported,
 			msg: "service: a sharded dataset is read-only at the coordinator; ingest to the member owning the partition"}

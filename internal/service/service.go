@@ -349,12 +349,13 @@ type flight struct {
 
 // Service executes queries for many concurrent clients over one database.
 type Service struct {
+	// db compiles every query: statement preparation, binding
+	// validation, column/kind inference, explain plans. On a
+	// coordinator it is a planning database that holds no data.
 	db *aiql.DB
-	// shards, when set, makes this a coordinator: executions
-	// scatter-gather across the backend's members and db serves
-	// planning only (compile, validate, explain). Nil on ordinary
-	// single-store services.
-	shards   ShardBackend
+	// backend runs every execution: the local store (localBackend over
+	// db) or a shard coordinator scatter-gathering across its members.
+	backend  ShardBackend
 	cfg      Config
 	sem      chan struct{} // worker slots
 	cache    *resultCache
@@ -395,9 +396,25 @@ type Service struct {
 
 // New creates a service over db.
 func New(db *aiql.DB, cfg Config) *Service {
+	return newService(db, localBackend{db: db}, cfg)
+}
+
+// NewSharded creates a coordinator service over a shard backend. The
+// planning database (typically empty and in-memory) serves compilation
+// only — statement preparation, binding validation, column/kind
+// inference, explain plans — while every execution scatter-gathers
+// across the backend's members. The result cache keys on the backend's
+// Generation instead of a local commit counter; ingest and standing
+// queries are rejected (writes belong to the members).
+func NewSharded(planning *aiql.DB, shards ShardBackend, cfg Config) *Service {
+	return newService(planning, shards, cfg)
+}
+
+func newService(db *aiql.DB, backend ShardBackend, cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
 		db:       db,
+		backend:  backend,
 		cfg:      cfg,
 		sem:      make(chan struct{}, cfg.Workers),
 		cache:    newResultCache(cfg.CacheEntries, cfg.MaxCacheBytes),
@@ -424,41 +441,20 @@ func New(db *aiql.DB, cfg Config) *Service {
 	return s
 }
 
-// NewSharded creates a coordinator service over a shard backend. The
-// planning database (typically empty and in-memory) serves compilation
-// only — statement preparation, binding validation, column/kind
-// inference, explain plans — while every execution scatter-gathers
-// across the backend's members. The result cache keys on the backend's
-// Generation instead of a local commit counter; ingest and standing
-// queries are rejected (writes belong to the members).
-func NewSharded(planning *aiql.DB, shards ShardBackend, cfg Config) *Service {
-	s := New(planning, cfg)
-	s.shards = shards
-	return s
-}
-
 // Sharded reports whether this service coordinates a sharded dataset.
-func (s *Service) Sharded() bool { return s.shards != nil }
+// It is the one place that asks which backend is installed.
+func (s *Service) Sharded() bool {
+	_, local := s.backend.(localBackend)
+	return !local
+}
 
 // ShardStats snapshots the shard coordinator's counters (nil when the
 // service is not sharded).
-func (s *Service) ShardStats() *ShardStats {
-	if s.shards == nil {
-		return nil
-	}
-	return s.shards.Stats()
-}
+func (s *Service) ShardStats() *ShardStats { return s.backend.Stats() }
 
 // generation identifies the store version results are computed over —
-// the unit of result-cache keying and cursor-chain pinning. Local
-// services read the store's commit counter; coordinators ask the shard
-// backend for the members' combined generation.
-func (s *Service) generation() uint64 {
-	if s.shards != nil {
-		return s.shards.Generation()
-	}
-	return s.db.Store().Commits()
-}
+// the unit of result-cache keying and cursor-chain pinning.
+func (s *Service) generation() uint64 { return s.backend.Generation() }
 
 // SlowLog returns the slow-query log this service records into (nil
 // when none is configured).
@@ -494,13 +490,13 @@ func (s *Service) Stats() Stats {
 // canonical cache-key text. Prepared executions key on (template
 // fingerprint, canonicalized bindings), so distinct bindings of one
 // template share the compiled plan while caching results
-// independently; inline text keys on its normalized form.
+// independently; inline text keys on its normalized form and is
+// compiled only when it misses the cache.
 type execTarget struct {
 	stmt     *aiql.Stmt
 	params   aiql.Params
 	query    string // inline text; empty when stmt is set
 	keyQuery string
-	kind     string
 }
 
 // resolveTarget maps a request to its executable: a registered
@@ -508,47 +504,64 @@ type execTarget struct {
 // Params), or plain query text. Bindings are validated here so
 // unknown/missing/mistyped parameters fail before admission.
 func (s *Service) resolveTarget(req Request) (*execTarget, error) {
+	var (
+		stmt *aiql.Stmt
+		err  error
+	)
 	switch {
 	case req.StmtID != "":
-		stmt, err := s.prepared.get(req.StmtID, time.Now())
-		if err != nil {
-			return nil, err
-		}
-		params := aiql.Params(req.Params)
-		if err := stmt.Check(params); err != nil {
-			return nil, err
-		}
-		return &execTarget{stmt: stmt, params: params,
-			keyQuery: stmtCacheKey(stmt, params), kind: stmt.Kind()}, nil
+		stmt, err = s.prepared.get(req.StmtID, time.Now())
 	case len(req.Params) > 0:
-		stmt, err := s.db.Prepare(req.Query)
-		if err != nil {
-			return nil, err
-		}
-		params := aiql.Params(req.Params)
-		if err := stmt.Check(params); err != nil {
-			return nil, err
-		}
-		return &execTarget{stmt: stmt, params: params,
-			keyQuery: stmtCacheKey(stmt, params), kind: stmt.Kind()}, nil
+		stmt, err = s.db.Prepare(req.Query)
 	default:
 		return &execTarget{query: req.Query, keyQuery: normalizeQuery(req.Query)}, nil
 	}
-}
-
-// run executes the resolved target under ctx.
-func (t *execTarget) run(ctx context.Context, db *aiql.DB) (*engine.Result, error) {
-	if t.stmt != nil {
-		return t.stmt.Exec(ctx, t.params)
+	if err != nil {
+		return nil, err
 	}
-	return db.QueryContext(ctx, t.query)
+	params := aiql.Params(req.Params)
+	if err := stmt.Check(params); err != nil {
+		return nil, err
+	}
+	return &execTarget{stmt: stmt, params: params, keyQuery: stmtCacheKey(stmt, params)}, nil
 }
 
-// Do executes one query request: statement/binding resolution, cursor
-// resolution, cache lookup, per-client fairness, singleflight
-// collapsing, admission, bounded execution, cache fill, page shaping.
-// It is safe for arbitrary concurrent use.
-func (s *Service) Do(ctx context.Context, req Request) (*Response, error) {
+// compile returns the target's statement, compiling inline text inside
+// a "parse" span under parent (nil records no span).
+func (s *Service) compile(target *execTarget, parent *obs.Span) (*aiql.Stmt, error) {
+	if target.stmt != nil {
+		return target.stmt, nil
+	}
+	sp := parent.Child("parse")
+	defer sp.End()
+	return s.db.Prepare(target.query)
+}
+
+// backendQuery compiles the target and shapes it for the backend. A
+// coordinator compiles against its planning database, so query errors
+// surface as parse/semantic failures there, never as member execution
+// errors; the members receive the text and bindings and compile
+// against their own stores.
+func (s *Service) backendQuery(req Request, target *execTarget, root *obs.Span) (ShardQuery, error) {
+	stmt, err := s.compile(target, root)
+	if err != nil {
+		return ShardQuery{}, err
+	}
+	return ShardQuery{
+		Query:      stmt.Source(),
+		Params:     target.params,
+		Columns:    stmt.Columns(),
+		Kind:       stmt.Kind(),
+		Client:     req.Client,
+		RequireAll: req.RequireAll,
+		stmt:       stmt,
+	}, nil
+}
+
+// serve is the entry wrapper Do and DoStream share: it resolves the
+// request's target, runs body, observes the outcome (metrics, slow log)
+// and drops the span tree unless the request asked for it.
+func (s *Service) serve(req Request, body func(target *execTarget, start time.Time) (*Response, error)) (*Response, error) {
 	start := time.Now()
 	s.queries.Add(1)
 
@@ -557,38 +570,53 @@ func (s *Service) Do(ctx context.Context, req Request) (*Response, error) {
 		s.errors.Add(1)
 		return nil, err
 	}
-
-	if req.Explain {
-		// Planning only: estimates come from the store's indexes, no
-		// pattern scan runs, so explain bypasses admission and caching.
-		if target.stmt != nil {
-			plan, err := target.stmt.Explain()
-			if err != nil {
-				s.errors.Add(1)
-				return nil, err
-			}
-			return &Response{Plan: plan, Kind: target.kind, Duration: time.Since(start)}, nil
-		}
-		kind, _ := aiql.QueryKind(req.Query)
-		plan, err := s.db.ExplainPlan(req.Query)
-		if err != nil {
-			s.errors.Add(1)
-			return nil, err
-		}
-		return &Response{Plan: plan, Kind: kind, Duration: time.Since(start)}, nil
-	}
-
-	resp, err := s.doResolved(ctx, req, target, start)
-	s.observe(req, target, start, resp, err)
+	resp, err := body(target, start)
+	s.observe(target, start, resp, err)
 	if resp != nil && !req.Trace {
 		resp.Trace = nil
 	}
 	return resp, err
 }
 
+// Do executes one query request: statement/binding resolution, cursor
+// resolution, cache lookup, per-client fairness, singleflight
+// collapsing, admission, bounded execution, cache fill, page shaping.
+// It is safe for arbitrary concurrent use.
+func (s *Service) Do(ctx context.Context, req Request) (*Response, error) {
+	if req.Explain {
+		return s.explain(req)
+	}
+	return s.serve(req, func(target *execTarget, start time.Time) (*Response, error) {
+		return s.doResolved(ctx, req, target, start)
+	})
+}
+
+// explain answers an explain request. Estimates come from the store's
+// indexes and no pattern scan runs, so explain bypasses admission,
+// caching and observation.
+func (s *Service) explain(req Request) (*Response, error) {
+	start := time.Now()
+	s.queries.Add(1)
+	target, err := s.resolveTarget(req)
+	var (
+		stmt *aiql.Stmt
+		plan []engine.ExplainEntry
+	)
+	if err == nil {
+		stmt, err = s.compile(target, nil)
+	}
+	if err == nil {
+		plan, err = stmt.Explain()
+	}
+	if err != nil {
+		s.errors.Add(1)
+		return nil, err
+	}
+	return &Response{Plan: plan, Kind: stmt.Kind(), Duration: time.Since(start)}, nil
+}
+
 // doResolved is Do past target resolution: cursor resolution, cache
-// lookup, singleflight, admission, execution, page shaping. Split out
-// so Do can observe (metrics, slow log) every outcome in one place.
+// lookup, singleflight, admission, execution, page shaping.
 func (s *Service) doResolved(ctx context.Context, req Request, target *execTarget, start time.Time) (*Response, error) {
 	norm := target.keyQuery
 	offset := 0
@@ -621,16 +649,8 @@ func (s *Service) doResolved(ctx context.Context, req Request, target *execTarge
 		// evicted but not superseded: re-execute at the same generation
 	}
 	key := cacheKey{query: norm, commits: commits}
-	// A traced request skips the lookup (not the fill): the spans must
-	// describe a real execution, EXPLAIN ANALYZE style.
-	if !req.Trace {
-		if entry, ok := s.cache.get(key); ok {
-			s.cacheHits.Add(1)
-			return s.shape(entry, req, start, true, offset), nil
-		}
-		if s.cache != nil {
-			s.cacheMisses.Add(1)
-		}
+	if entry, ok := s.lookup(req, key); ok {
+		return s.shape(entry, req, start, true, offset), nil
 	}
 
 	if err := s.acquireClient(req.Client); err != nil {
@@ -671,6 +691,23 @@ func (s *Service) doResolved(ctx context.Context, req Request, target *execTarge
 	return s.shape(entry, req, start, coalesced, offset), nil
 }
 
+// lookup serves key from the result cache, counting the hit or miss. A
+// traced request skips the lookup (not the fill): its spans must
+// describe a real execution, EXPLAIN ANALYZE style.
+func (s *Service) lookup(req Request, key cacheKey) (*cacheEntry, bool) {
+	if req.Trace {
+		return nil, false
+	}
+	if entry, ok := s.cache.get(key); ok {
+		s.cacheHits.Add(1)
+		return entry, true
+	}
+	if s.cache != nil {
+		s.cacheMisses.Add(1)
+	}
+	return nil, false
+}
+
 // executeShared runs one execution per distinct cache key at a time:
 // the first request becomes the leader and executes; identical
 // concurrent requests wait for the leader's entry instead of executing
@@ -684,11 +721,7 @@ func (s *Service) executeShared(ctx context.Context, req Request, target *execTa
 		case <-f.done:
 			return f.entry, true, f.err
 		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.Canceled) {
-				s.canceled.Add(1)
-			} else {
-				s.timeouts.Add(1)
-			}
+			s.aborted(ctx.Err())
 			return nil, true, fmt.Errorf("service: cancelled while awaiting identical in-flight query: %w", ctx.Err())
 		}
 	}
@@ -712,91 +745,72 @@ func (s *Service) executeShared(ctx context.Context, req Request, target *execTa
 	return f.entry, false, f.err
 }
 
-// execute admits and runs one query under its deadline.
+// begin admits one execution into a worker slot and arms the request's
+// deadline; the returned done releases both.
+func (s *Service) begin(ctx context.Context, req Request) (context.Context, func(), error) {
+	if err := s.admit(ctx); err != nil {
+		return nil, nil, err
+	}
+	s.active.Add(1)
+	execCtx, cancel := context.WithTimeout(ctx, s.timeout(req))
+	s.executions.Add(1)
+	return execCtx, func() {
+		cancel()
+		s.active.Add(-1)
+		<-s.sem
+	}, nil
+}
+
+// execute admits and runs one buffered execution under its deadline.
+// Every execution is traced — spans are a handful of timed nodes, so
+// the slow-query log always has the breakdown, not just when a client
+// thought to ask for one.
 func (s *Service) execute(ctx context.Context, req Request, target *execTarget, key cacheKey) (*cacheEntry, error) {
 	start := time.Now()
-	if err := s.admit(ctx); err != nil {
+	execCtx, done, err := s.begin(ctx, req)
+	if err != nil {
 		return nil, err
 	}
-	defer func() { <-s.sem }()
-	s.active.Add(1)
-	defer s.active.Add(-1)
+	defer done()
 
-	execCtx, cancel := context.WithTimeout(ctx, s.timeout(req))
-	defer cancel()
-
-	s.executions.Add(1)
-	kind := target.kind
-	if kind == "" {
-		kind, _ = aiql.QueryKind(req.Query)
-	}
-	// Every execution is traced — spans are a handful of timed nodes, so
-	// the slow-query log always has the breakdown, not just when a
-	// client thought to ask for one.
 	tr := obs.NewTrace("query")
-	var (
-		res   *engine.Result
-		warns []ShardWarning
-		err   error
-	)
-	if s.shards != nil {
-		var sq ShardQuery
-		sq, err = s.shardQuery(req, target)
-		if err != nil {
-			s.errors.Add(1)
-			return nil, err
-		}
-		res, warns, err = s.shards.Run(obs.WithSpan(execCtx, tr.Root()), sq)
-		if kind == "" {
-			kind = sq.Kind
-		}
-	} else {
-		res, err = target.run(obs.WithSpan(execCtx, tr.Root()), s.db)
-	}
-	tr.Root().End()
+	q, err := s.backendQuery(req, target, tr.Root())
 	if err != nil {
-		if ctxErr := execCtx.Err(); ctxErr != nil {
-			// a deadline expiry is a timeout; a cancelled parent means
-			// the client went away — count them apart so stats don't
-			// suggest tuning timeouts against disconnects
-			if errors.Is(ctxErr, context.Canceled) {
-				s.canceled.Add(1)
-			} else {
-				s.timeouts.Add(1)
-			}
-			return nil, fmt.Errorf("service: query aborted after %s: %w", time.Since(start).Round(time.Millisecond), ctxErr)
-		}
 		s.errors.Add(1)
 		return nil, err
 	}
-	return &cacheEntry{key: key, result: res, kind: kind, bytes: approxResultBytes(res), trace: tr.Tree(), warnings: warns}, nil
+	// q.Limit stays zero: the buffered path materializes the full result
+	// (pages are slices of it), so nothing may be pushed down.
+	res, warns, err := s.backend.Run(obs.WithSpan(execCtx, tr.Root()), q)
+	tr.Root().End()
+	if err != nil {
+		return nil, s.failed(execCtx, err, "query", start)
+	}
+	return &cacheEntry{key: key, result: res, kind: q.Kind, bytes: approxResultBytes(res), trace: tr.Tree(), warnings: warns}, nil
 }
 
-// shardQuery resolves a request to the form the shard backend fans
-// out: template text plus raw bindings (members compile against their
-// own stores), with the header and kind known from planning. Inline
-// text without bindings is compiled here against the planning database
-// so query errors surface as parse/semantic failures at the
-// coordinator, never as member execution errors.
-func (s *Service) shardQuery(req Request, target *execTarget) (ShardQuery, error) {
-	stmt := target.stmt
-	if stmt == nil {
-		var err error
-		if stmt, err = s.db.Prepare(target.query); err != nil {
-			return ShardQuery{}, err
-		}
+// failed classifies an execution error into the service counters and
+// returns the error to report. An ended execution context means the
+// query was aborted: a deadline expiry is a timeout, a cancelled parent
+// a client that went away — counted apart so stats don't suggest tuning
+// timeouts against disconnects. Anything else is an error.
+func (s *Service) failed(execCtx context.Context, err error, what string, start time.Time) error {
+	ctxErr := execCtx.Err()
+	if ctxErr == nil {
+		s.errors.Add(1)
+		return err
 	}
-	// Limit stays zero here: the buffered path materializes the full
-	// result (pages are slices of it), so nothing may be pushed down.
-	// The streaming path sets its own limit before dispatch.
-	return ShardQuery{
-		Query:      stmt.Source(),
-		Params:     target.params,
-		Columns:    stmt.Columns(),
-		Kind:       stmt.Kind(),
-		Client:     req.Client,
-		RequireAll: req.RequireAll,
-	}, nil
+	s.aborted(ctxErr)
+	return fmt.Errorf("service: %s aborted after %s: %w", what, time.Since(start).Round(time.Millisecond), ctxErr)
+}
+
+// aborted counts a wait or execution ended by its context.
+func (s *Service) aborted(ctxErr error) {
+	if errors.Is(ctxErr, context.Canceled) {
+		s.canceled.Add(1)
+	} else {
+		s.timeouts.Add(1)
+	}
 }
 
 func (s *Service) timeout(req Request) time.Duration {
@@ -881,11 +895,7 @@ func (s *Service) admit(ctx context.Context) error {
 	case <-ctx.Done():
 		// the client's own deadline or disconnect ended the wait —
 		// the service did not shed it, so it is not a rejection
-		if errors.Is(ctx.Err(), context.Canceled) {
-			s.canceled.Add(1)
-		} else {
-			s.timeouts.Add(1)
-		}
+		s.aborted(ctx.Err())
 		return fmt.Errorf("service: cancelled while queued: %w", ctx.Err())
 	case <-wait.C:
 		s.rejected.Add(1)
@@ -936,14 +946,17 @@ func (s *Service) shape(entry *cacheEntry, req Request, start time.Time, cached 
 // the latency histogram (every request), the scanned-events counter
 // (fresh executions only — cache hits and coalesced followers re-report
 // the leader's work and must not re-count it), and the slow-query log.
-func (s *Service) observe(req Request, target *execTarget, start time.Time, resp *Response, err error) {
+func (s *Service) observe(target *execTarget, start time.Time, resp *Response, err error) {
 	dur := time.Since(start)
 	s.mDuration.Observe(dur.Seconds())
 
 	var scanned int64
 	rows, cached := 0, false
 	var spans []obs.SpanSummary
-	kind := target.kind
+	kind, qtxt := "", target.query
+	if target.stmt != nil {
+		kind, qtxt = target.stmt.Kind(), target.stmt.Source()
+	}
 	if resp != nil {
 		scanned, rows, cached = resp.Stats.ScannedEvents, resp.TotalRows, resp.Cached
 		if !cached && scanned > 0 {
@@ -957,10 +970,6 @@ func (s *Service) observe(req Request, target *execTarget, start time.Time, resp
 	}
 	if s.slow == nil {
 		return
-	}
-	qtxt := target.query
-	if target.stmt != nil {
-		qtxt = target.stmt.Source()
 	}
 	e := obs.SlowEntry{
 		Time:          start,
@@ -985,177 +994,31 @@ func (s *Service) observe(req Request, target *execTarget, start time.Time, resp
 
 // DoStream executes one query as a row stream: header receives the
 // column header (with a flag for cache service) before any row, then
-// row receives each projected row as the engine produces it — first
-// rows arrive while later partitions are still being scanned. A
-// positive limit is pushed down into the engine, so a small-limit
-// stream terminates the scan early instead of draining the store; a
-// zero limit streams the entire result with parallel partition scans —
-// memory stays bounded either way, so MaxRows does not apply to
+// row receives each row as the backend produces it — first rows arrive
+// while later partitions are still being scanned. A positive limit is
+// pushed down into the execution, so a small-limit stream terminates
+// the scan early instead of draining the store; a zero limit streams
+// the entire result with bounded memory, so MaxRows does not apply to
 // streams. Cancelling ctx (a client disconnect) aborts the scan
-// mid-flight, as does an error from either callback. Streamed rows
-// arrive in production order and are not cached or coalesced —
-// interactive repeats belong on Do. The returned Response reports the
-// rows actually streamed in TotalRows.
+// mid-flight, as does an error from either callback. A local stream's
+// rows arrive in production order and are not cached or coalesced —
+// interactive repeats belong on Do — unless the request is Sorted; a
+// coordinator's rows arrive in canonical order as its members' sorted
+// streams merge. The returned Response reports the rows actually
+// streamed in TotalRows.
 func (s *Service) DoStream(ctx context.Context, req Request, header func(cols []string, cached bool) error, row func([]string) error) (*Response, error) {
-	start := time.Now()
-	s.queries.Add(1)
-
-	target, err := s.resolveTarget(req)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-
-	resp, err := s.doStreamResolved(ctx, req, target, start, header, row)
-	s.observe(req, target, start, resp, err)
-	if resp != nil && !req.Trace {
-		resp.Trace = nil
-	}
-	return resp, err
-}
-
-// doStreamResolved is DoStream past target resolution. An execution cut
-// short by its sink (the client disconnected mid-stream) still returns
-// a Response — alongside the error — carrying the engine statistics of
-// the work actually done, so observe records the aborted query's
-// latency and scanned events instead of losing them.
-func (s *Service) doStreamResolved(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, row func([]string) error) (*Response, error) {
-	limit := req.Limit
-	if limit < 0 {
-		limit = 0
-	}
-
-	norm := target.keyQuery
-	commits := s.generation()
-	if !req.Trace {
-		if entry, ok := s.cache.get(cacheKey{query: norm, commits: commits}); ok {
-			s.cacheHits.Add(1)
-			resp := &Response{
-				Columns: entry.result.Columns,
-				Cached:  true,
-				Kind:    entry.kind,
-				Stats:   entry.result.Stats,
-				Trace:   entry.trace,
-			}
-			if err := header(entry.result.Columns, true); err != nil {
-				s.canceled.Add(1) // a sink failure means the client went away
-				resp.Duration = time.Since(start)
-				return resp, err
-			}
-			rows := entry.result.Rows
-			if limit > 0 && len(rows) > limit {
-				rows = rows[:limit]
-			}
-			sent := 0
-			for _, r := range rows {
-				if err := row(r); err != nil {
-					s.canceled.Add(1)
-					resp.TotalRows = sent
-					resp.Duration = time.Since(start)
-					return resp, err
-				}
-				sent++
-				s.rowsStreamed.Add(1)
-			}
-			resp.TotalRows = sent
-			resp.Duration = time.Since(start)
-			return resp, nil
+	return s.serve(req, func(target *execTarget, start time.Time) (*Response, error) {
+		if entry, ok := s.lookup(req, cacheKey{query: target.keyQuery, commits: s.generation()}); ok {
+			return s.walk(entry, req, true, start, header, row)
 		}
-		if s.cache != nil {
-			s.cacheMisses.Add(1)
+		// A sorted stream over the local store is served from the
+		// buffered execution path; a coordinator's stream is sorted
+		// already.
+		if req.Sorted && !s.Sharded() {
+			return s.doStreamSorted(ctx, req, target, start, header, row)
 		}
-	}
-
-	// Sorted streams and shard coordination leave the cursor pipeline:
-	// a coordinator merge-streams its members, a member serves the
-	// sorted order from the buffered execution path.
-	if s.shards != nil {
-		return s.doStreamSharded(ctx, req, target, start, header, row)
-	}
-	if req.Sorted {
-		return s.doStreamSorted(ctx, req, target, start, header, row)
-	}
-
-	if err := s.acquireClient(req.Client); err != nil {
-		return nil, err
-	}
-	defer s.releaseClient(req.Client)
-	if err := s.admit(ctx); err != nil {
-		return nil, err
-	}
-	defer func() { <-s.sem }()
-	s.active.Add(1)
-	defer s.active.Add(-1)
-
-	execCtx, cancel := context.WithTimeout(ctx, s.timeout(req))
-	defer cancel()
-
-	s.executions.Add(1)
-	kind := target.kind
-	if kind == "" {
-		kind, _ = aiql.QueryKind(req.Query)
-	}
-	tr := obs.NewTrace("query")
-	runCtx := obs.WithSpan(execCtx, tr.Root())
-	var (
-		cur *aiql.Cursor
-		err error
-	)
-	if target.stmt != nil {
-		cur, err = target.stmt.ExecCursor(runCtx, target.params, aiql.CursorOptions{Limit: limit})
-	} else {
-		cur, err = s.db.QueryCursor(runCtx, req.Query, aiql.CursorOptions{Limit: limit})
-	}
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	defer cur.Close()
-
-	// finish closes the cursor first — Close blocks until in-flight
-	// scans observe the abort — so the statistics and span tree are
-	// final in the returned Response whether the stream completed,
-	// failed, or was abandoned by its sink.
-	finish := func(streamed int) *Response {
-		cur.Close()
-		tr.Root().End()
-		return &Response{
-			Columns:   cur.Columns(),
-			TotalRows: streamed,
-			Duration:  time.Since(start),
-			Kind:      kind,
-			Stats:     cur.Stats(),
-			Trace:     tr.Tree(),
-		}
-	}
-
-	if err := header(cur.Columns(), false); err != nil {
-		s.canceled.Add(1) // a sink failure means the client went away
-		return finish(0), err
-	}
-	streamed := 0
-	for cur.Next() {
-		if err := row(cur.Row()); err != nil {
-			s.canceled.Add(1)
-			return finish(streamed), err
-		}
-		streamed++
-		s.rowsStreamed.Add(1)
-	}
-	if err := cur.Err(); err != nil {
-		resp := finish(streamed)
-		if ctxErr := execCtx.Err(); ctxErr != nil {
-			if errors.Is(ctxErr, context.Canceled) {
-				s.canceled.Add(1)
-			} else {
-				s.timeouts.Add(1)
-			}
-			return resp, fmt.Errorf("service: stream aborted after %s: %w", time.Since(start).Round(time.Millisecond), ctxErr)
-		}
-		s.errors.Add(1)
-		return resp, err
-	}
-	return finish(streamed), nil
+		return s.stream(ctx, req, target, start, header, row)
+	})
 }
 
 // doStreamSorted serves a stream in the canonical result order by
@@ -1174,75 +1037,71 @@ func (s *Service) doStreamSorted(ctx context.Context, req Request, target *execT
 	if err != nil {
 		return nil, err
 	}
+	return s.walk(entry, req, coalesced, start, header, row)
+}
+
+// walk streams a materialized entry — a cache hit or a sorted stream's
+// buffered execution — through the sinks: the header, then the rows up
+// to the request's limit.
+func (s *Service) walk(entry *cacheEntry, req Request, cached bool, start time.Time, header func(cols []string, cached bool) error, row func([]string) error) (*Response, error) {
 	resp := &Response{
 		Columns:  entry.result.Columns,
-		Cached:   coalesced,
+		Cached:   cached,
 		Kind:     entry.kind,
 		Stats:    entry.result.Stats,
 		Trace:    entry.trace,
 		Partial:  len(entry.warnings) > 0,
 		Warnings: entry.warnings,
 	}
-	if err := header(entry.result.Columns, coalesced); err != nil {
-		s.canceled.Add(1)
-		resp.Duration = time.Since(start)
-		return resp, err
-	}
 	rows := entry.result.Rows
 	if req.Limit > 0 && len(rows) > req.Limit {
 		rows = rows[:req.Limit]
 	}
-	sent := 0
-	for _, r := range rows {
-		if err := row(r); err != nil {
-			s.canceled.Add(1)
-			resp.TotalRows = sent
-			resp.Duration = time.Since(start)
-			return resp, err
+	err := header(entry.result.Columns, cached)
+	for i := 0; err == nil && i < len(rows); i++ {
+		if err = row(rows[i]); err == nil {
+			resp.TotalRows++
+			s.rowsStreamed.Add(1)
 		}
-		sent++
-		s.rowsStreamed.Add(1)
 	}
-	resp.TotalRows = sent
+	if err != nil {
+		s.canceled.Add(1) // a sink failure means the client went away
+	}
 	resp.Duration = time.Since(start)
-	return resp, nil
+	return resp, err
 }
 
-// doStreamSharded merge-streams a query across the shard backend's
-// members: rows arrive in canonical order as members produce them, and
-// a positive limit is pushed down so member streams terminate after the
-// merged prefix. A member lost mid-stream surfaces as warnings on the
-// returned Response (trailer material), not as an error, unless the
-// request set RequireAll.
-func (s *Service) doStreamSharded(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, row func([]string) error) (*Response, error) {
+// stream runs one execution through the backend's row stream: the
+// local cursor pipeline, or the coordinator's merge of its members'
+// sorted streams. An execution cut short by its sink (the client
+// disconnected mid-stream) still returns a Response — alongside the
+// error — carrying the work actually done, so observe records the
+// aborted query's latency and scanned events instead of losing them. A
+// member lost mid-stream surfaces as warnings on the Response (trailer
+// material), not as an error, unless the request set RequireAll.
+func (s *Service) stream(ctx context.Context, req Request, target *execTarget, start time.Time, header func(cols []string, cached bool) error, row func([]string) error) (*Response, error) {
 	if err := s.acquireClient(req.Client); err != nil {
 		return nil, err
 	}
 	defer s.releaseClient(req.Client)
-	if err := s.admit(ctx); err != nil {
+	execCtx, done, err := s.begin(ctx, req)
+	if err != nil {
 		return nil, err
 	}
-	defer func() { <-s.sem }()
-	s.active.Add(1)
-	defer s.active.Add(-1)
+	defer done()
 
-	execCtx, cancel := context.WithTimeout(ctx, s.timeout(req))
-	defer cancel()
-
-	sq, err := s.shardQuery(req, target)
+	tr := obs.NewTrace("query")
+	q, err := s.backendQuery(req, target, tr.Root())
 	if err != nil {
 		s.errors.Add(1)
 		return nil, err
 	}
 	if req.Limit > 0 {
-		sq.Limit = req.Limit
+		q.Limit = req.Limit
 	}
-
-	s.executions.Add(1)
-	tr := obs.NewTrace("query")
-	streamed := 0
+	resp := &Response{Columns: q.Columns, Kind: q.Kind}
 	sinkDead := false
-	stats, warns, err := s.shards.RunStream(obs.WithSpan(execCtx, tr.Root()), sq,
+	stats, warns, err := s.backend.RunStream(obs.WithSpan(execCtx, tr.Root()), q,
 		func(cols []string) error {
 			if e := header(cols, false); e != nil {
 				sinkDead = true
@@ -1255,36 +1114,19 @@ func (s *Service) doStreamSharded(ctx context.Context, req Request, target *exec
 				sinkDead = true
 				return e
 			}
-			streamed++
+			resp.TotalRows++
 			s.rowsStreamed.Add(1)
 			return nil
 		})
 	tr.Root().End()
-	resp := &Response{
-		Columns:   sq.Columns,
-		TotalRows: streamed,
-		Duration:  time.Since(start),
-		Kind:      sq.Kind,
-		Stats:     stats,
-		Trace:     tr.Tree(),
-		Partial:   len(warns) > 0,
-		Warnings:  warns,
+	resp.Duration, resp.Stats, resp.Trace = time.Since(start), stats, tr.Tree()
+	resp.Partial, resp.Warnings = len(warns) > 0, warns
+	switch {
+	case err == nil:
+	case sinkDead:
+		s.canceled.Add(1) // a sink failure means the client went away
+	default:
+		err = s.failed(execCtx, err, "stream", start)
 	}
-	if err != nil {
-		if sinkDead {
-			s.canceled.Add(1)
-			return resp, err
-		}
-		if ctxErr := execCtx.Err(); ctxErr != nil {
-			if errors.Is(ctxErr, context.Canceled) {
-				s.canceled.Add(1)
-			} else {
-				s.timeouts.Add(1)
-			}
-			return resp, fmt.Errorf("service: stream aborted after %s: %w", time.Since(start).Round(time.Millisecond), ctxErr)
-		}
-		s.errors.Add(1)
-		return resp, err
-	}
-	return resp, nil
+	return resp, err
 }

@@ -264,7 +264,7 @@ func (s *Service) Watch(ctx context.Context, src string, params map[string]any) 
 		return WatchInfo{}, &apiError{status: http.StatusBadRequest, code: CodeUnsupported,
 			msg: "service: standing queries are disabled on this dataset"}
 	}
-	if s.shards != nil {
+	if s.Sharded() {
 		return WatchInfo{}, &apiError{status: http.StatusBadRequest, code: CodeUnsupported,
 			msg: "service: standing queries are not supported on a sharded dataset; watch the member datasets"}
 	}
