@@ -2,6 +2,7 @@ package eventstore
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -429,6 +430,55 @@ func TestSnapshotFrozenDuringAppendAndSeal(t *testing.T) {
 			t.Errorf("post-append snapshot scan saw %d events, want %d", got, want)
 		}
 	}
+
+	// Batches that start before a memtable's last event take the
+	// copy-on-write merge. A snapshot pinned over unsealed memtables
+	// must keep its exact contents through those merges and the seals
+	// they trigger, on both the row and the batch scan paths, and
+	// snapshots taken mid-stream must agree across the two paths.
+	t.Run("earlier timestamps", func(t *testing.T) {
+		opts := DefaultOptions()
+		opts.SegmentEvents = 128 // seal mid-stream too
+		opts.BatchSize = 16
+		s := New(opts)
+		recs := make([]Record, 0, 300)
+		for i := 0; i < 300; i++ {
+			recs = append(recs, mkRecord(uint32(1+i%3), "bash", sysmon.OpRead, "f.txt", 150+i%90))
+		}
+		s.AppendAll(recs)
+		snap := s.Snapshot()
+		filters := []*EventFilter{{}, {Agents: []uint32{2}}, {Ops: []sysmon.Operation{sysmon.OpWrite}}}
+		pinned := make([][]uint64, len(filters))
+		for i, f := range filters {
+			pinned[i] = scanIDs(snap, f, nil)
+		}
+
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for round := 0; round < 30; round++ {
+				recs := make([]Record, 0, 40)
+				for i := 0; i < 40; i++ {
+					recs = append(recs, mkRecord(uint32(1+i%3), "vim", sysmon.OpWrite, "g.txt", 120+(round*7+i*13)%120))
+				}
+				s.AppendAll(recs)
+			}
+		}()
+
+		for i := 0; i < 30; i++ {
+			fresh := s.Snapshot()
+			for fi, f := range filters {
+				what := fmt.Sprintf("iteration %d filter %d", i, fi)
+				compareIDs(t, what+" pinned", collectIDs(t, snap, f, nil, what), pinned[fi])
+				compareIDs(t, what+" pinned scan", scanIDs(snap, f, nil), pinned[fi])
+				compareIDs(t, what+" fresh", collectIDs(t, fresh, f, nil, what), scanIDs(fresh, f, nil))
+			}
+		}
+		<-done
+		if s.Len() != 300+30*40 {
+			t.Errorf("store grew to %d events, want %d", s.Len(), 300+30*40)
+		}
+	})
 }
 
 // TestScanDuringIndexBuild: scans racing a seal's out-of-lock index
