@@ -155,7 +155,10 @@ func TestNoScenarioMeansNoAttack(t *testing.T) {
 func TestBackgroundSpansAgentsAndTime(t *testing.T) {
 	s := eventstore.New(eventstore.DefaultOptions())
 	GenerateInto(s, Config{Seed: 9, Hosts: 8, Events: 8000})
-	agents := s.Agents()
+	agents := map[uint32]bool{}
+	for _, ev := range s.Collect(&eventstore.EventFilter{}) {
+		agents[ev.AgentID] = true
+	}
 	if len(agents) < 8 {
 		t.Errorf("only %d agents active", len(agents))
 	}

@@ -43,6 +43,18 @@ func scanKey(agent uint32, op sysmon.Operation, t sysmon.EntityType) uint64 {
 	return durable.ScanKey(agent, uint16(op), uint8(t))
 }
 
+// appendScanKeys appends the scan key of every event to keys. Memtable
+// commits and compaction merges build a run's key column with it, so
+// every scan unit carries the column the bitmap loop reads.
+func appendScanKeys(keys []uint64, events []sysmon.Event) []uint64 {
+	keys = slices.Grow(keys, len(events))
+	for i := range events {
+		ev := &events[i]
+		keys = append(keys, scanKey(ev.AgentID, ev.Op, ev.ObjType))
+	}
+	return keys
+}
+
 const (
 	scanKeyAgentMask = uint64(0xFFFFFFFF) << 32
 	scanKeyOpMask    = uint64(0xFFFF) << 16
@@ -50,18 +62,13 @@ const (
 )
 
 // CompiledFilter carries an EventFilter together with its derived
-// lookup structures (op table, agent set, single-value fast paths, and
-// the mask/want pair for the packed key column), computed once per
-// scan instead of once per unit.
+// lookup structures (op table, agent set, and the mask/want pair for
+// the packed key column), computed once per scan instead of once per
+// unit.
 type CompiledFilter struct {
 	f      *EventFilter
 	ops    *[sysmon.NumOperations]bool
 	agents map[uint32]struct{}
-
-	oneAgent    uint32
-	hasOneAgent bool
-	oneOp       sysmon.Operation
-	hasOneOp    bool
 
 	// mask/want fold every single-valued scalar predicate into one
 	// masked compare over the key column; multi-valued agent/op sets
@@ -75,23 +82,17 @@ type CompiledFilter struct {
 // filter must not be mutated while the compiled form is in use.
 func (f *EventFilter) Compile() *CompiledFilter {
 	cf := &CompiledFilter{f: f, ops: f.opSet(), agents: f.agentSet()}
-	if len(f.Agents) == 1 {
-		cf.oneAgent, cf.hasOneAgent = f.Agents[0], true
-	}
-	if len(f.Ops) == 1 && int(f.Ops[0]) < sysmon.NumOperations {
-		cf.oneOp, cf.hasOneOp = f.Ops[0], true
-	}
 	switch {
-	case cf.hasOneAgent:
+	case len(f.Agents) == 1:
 		cf.mask |= scanKeyAgentMask
-		cf.want |= uint64(cf.oneAgent) << 32
+		cf.want |= uint64(f.Agents[0]) << 32
 	case cf.agents != nil:
 		cf.needAgents = true
 	}
 	switch {
-	case cf.hasOneOp:
+	case len(f.Ops) == 1 && int(f.Ops[0]) < sysmon.NumOperations:
 		cf.mask |= scanKeyOpMask
-		cf.want |= uint64(cf.oneOp) << 16
+		cf.want |= uint64(f.Ops[0]) << 16
 	case cf.ops != nil:
 		cf.needOps = true
 	}
@@ -111,8 +112,8 @@ func (f *EventFilter) Compile() *CompiledFilter {
 //
 // Sealed segments with built indexes take the posting-list path when
 // bestPostingList applies (the list is already sparse, so a bitmap
-// buys nothing); everything else goes through the block-filtered
-// dense path.
+// buys nothing); everything else — memtable tails included — goes
+// through the block-filtered dense path over the unit's key column.
 func (u *ScanUnit) CollectBatch(ctx context.Context, cf *CompiledFilter, keep func(*sysmon.Event) bool) (batch []sysmon.Event, visited int64, complete bool) {
 	return u.CollectBatchInto(ctx, cf, keep, nil)
 }
@@ -141,7 +142,7 @@ func (u *ScanUnit) CollectBatchInto(ctx context.Context, cf *CompiledFilter, kee
 		}
 		return collectBlocksCols(ctx, g, cf, keep, buf)
 	}
-	return collectBlocks(ctx, u.mem.events, cf, keep, buf)
+	return collectBlocksKeys(ctx, u.mem.events, u.mem.keys, cf, keep, buf)
 }
 
 // colCursor streams one column of a reader-backed segment by absolute
@@ -283,50 +284,14 @@ func collectPostings(ctx context.Context, events []sysmon.Event, list []int32, c
 	return batch, visited, true
 }
 
-// collectBlocks runs the dense path: time-slice the sorted run, then
-// filter each block through selection-bitmap predicate passes. Events
-// inside the slice already satisfy From/To (the run is sorted by
-// StartTS), so the time predicates need no pass.
-func collectBlocks(ctx context.Context, events []sysmon.Event, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
-	batch = buf
-	lo, hi := timeSlice(events, cf.f.From, cf.f.To)
-	var sel blockBitmap
-	for base := lo; base < hi; base += batchBlockEvents {
-		if ctx.Err() != nil {
-			return batch, visited, false
-		}
-		n := hi - base
-		if n > batchBlockEvents {
-			n = batchBlockEvents
-		}
-		blk := events[base : base+n]
-		live := filterBlock(blk, cf, &sel)
-		if live == 0 {
-			continue
-		}
-		visited += int64(live)
-		// Grow for this block's survivors in one step: the append loop
-		// below would otherwise reallocate along the doubling chain,
-		// which dominates the cold path's allocation cost.
-		batch = slices.Grow(batch, live)
-		words := (n + 63) / 64
-		for w := 0; w < words; w++ {
-			for b := sel[w]; b != 0; b &= b - 1 {
-				ev := &blk[w<<6+bits.TrailingZeros64(b)]
-				if keep == nil || keep(ev) {
-					batch = append(batch, *ev)
-				}
-			}
-		}
-	}
-	return batch, visited, true
-}
-
-// collectBlocksKeys is the sealed-segment dense path: like
-// collectBlocks, but the scalar predicates run over the segment's
-// packed key column — one masked compare per event streaming 8 bytes
-// instead of the 56-byte struct — and only surviving events are read
-// from the event array.
+// collectBlocksKeys is the dense path over a resident event array
+// (memtable tail or heap segment): time-slice the sorted run, then
+// filter each block through selection-bitmap passes. The scalar
+// predicates run over the unit's packed key column — one masked compare
+// per event streaming 8 bytes instead of the 56-byte struct — and only
+// surviving events are read from the event array. Events inside the
+// slice already satisfy From/To (the run is sorted by StartTS), so the
+// time predicates need no pass.
 func collectBlocksKeys(ctx context.Context, events []sysmon.Event, keys []uint64, cf *CompiledFilter, keep func(*sysmon.Event) bool, buf []sysmon.Event) (batch []sysmon.Event, visited int64, complete bool) {
 	batch = buf
 	lo, hi := timeSlice(events, cf.f.From, cf.f.To)
@@ -453,115 +418,13 @@ func collectPostingsCols(ctx context.Context, g *Segment, list []int32, cf *Comp
 	return batch, visited, true
 }
 
-// filterBlockKeysCols is filterBlockKeys with the residual probes
-// (entity sets, amount bound) reading the column vectors at absolute
-// positions instead of an AoS block. The dense masked-compare pass over
-// the key column is shared verbatim.
-func filterBlockKeysCols(keys []uint64, base int, gather *colGather, cf *CompiledFilter, sel *blockBitmap) int {
-	n := len(keys)
-	words := (n + 63) / 64
-	any := filterKeysDense(keys, cf, sel)
-	if any == 0 {
-		return 0
-	}
-
-	if cf.needAgents {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if _, ok := cf.agents[uint32(keys[w<<6+tz]>>32)]; !ok {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
-		}
-	}
-
-	if cf.needOps {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if !cf.ops[sysmon.Operation(keys[w<<6+tz]>>16)&0xFFFF] {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
-		}
-	}
-
-	f := cf.f
-	if f.Subjects != nil {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if !f.Subjects.Has(sysmon.EntityID(gather.sub.u32(base + w<<6 + tz))) {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
-		}
-	}
-
-	if f.Objects != nil {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if !f.Objects.Has(sysmon.EntityID(gather.obj.u32(base + w<<6 + tz))) {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		if any == 0 {
-			return 0
-		}
-	}
-
-	if f.MinAmount != 0 {
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if gather.amt.u64(base+w<<6+tz) < f.MinAmount {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-		}
-	}
-
-	live := 0
-	for w := 0; w < words; w++ {
-		live += bits.OnesCount64(sel[w])
-	}
-	return live
-}
-
-// filterKeysDense runs the masked-compare pass of the key column into
-// the selection bitmap (the first, dense stage shared by the AoS-block
-// and columnar key paths), returning an any-survivors word.
-func filterKeysDense(keys []uint64, cf *CompiledFilter, sel *blockBitmap) uint64 {
+// filterKeys runs the key-only stage of a block's filter into the
+// selection bitmap, the same for every unit layout: every single-valued
+// scalar predicate (agent, op, object type) folds into one dense
+// branchless masked compare, then multi-valued agent/op sets probe the
+// key column for survivors only. It returns zero when no event of the
+// block survives.
+func filterKeys(keys []uint64, cf *CompiledFilter, sel *blockBitmap) uint64 {
 	n := len(keys)
 	words := (n + 63) / 64
 	var any uint64
@@ -619,20 +482,6 @@ func filterKeysDense(keys []uint64, cf *CompiledFilter, sel *blockBitmap) uint64
 		}
 		any = 1
 	}
-	return any
-}
-
-// filterBlockKeys narrows the selection bitmap using the packed key
-// column: every single-valued scalar predicate (agent, op, object
-// type) folds into one dense branchless masked compare; multi-valued
-// agent/op sets probe the key column for survivors only; entity sets
-// and the amount bound then touch the surviving events. Predicate
-// semantics mirror EventFilter.matches exactly (minus From/To, which
-// the caller's time slice already guarantees).
-func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel *blockBitmap) int {
-	n := len(keys)
-	words := (n + 63) / 64
-	any := filterKeysDense(keys, cf, sel)
 	if any == 0 {
 		return 0
 	}
@@ -668,11 +517,22 @@ func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel 
 			sel[w] = b
 			any |= b
 		}
-		if any == 0 {
-			return 0
-		}
 	}
+	return any
+}
 
+// filterBlockKeys narrows the selection bitmap of one block of a
+// resident event array: the key-only stage (filterKeys), then the
+// entity sets and the amount bound probe the surviving events. It
+// returns the surviving count. Predicate semantics mirror
+// EventFilter.matches exactly (minus From/To, which the caller's time
+// slice already guarantees).
+func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel *blockBitmap) int {
+	if filterKeys(keys, cf, sel) == 0 {
+		return 0
+	}
+	words := (len(keys) + 63) / 64
+	var any uint64
 	f := cf.f
 	if f.Subjects != nil {
 		any = 0
@@ -730,133 +590,32 @@ func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel 
 	return live
 }
 
-// filterBlock narrows the selection bitmap with one pass per active
-// predicate, cheapest scalar comparisons first so later set probes
-// only touch survivors, and returns the surviving count. Predicate
-// semantics mirror EventFilter.matches exactly (minus From/To, which
-// the caller's time slice already guarantees).
-func filterBlock(blk []sysmon.Event, cf *CompiledFilter, sel *blockBitmap) int {
-	n := len(blk)
-	words := (n + 63) / 64
-	for w := 0; w < words; w++ {
-		sel[w] = ^uint64(0)
+// filterBlockKeysCols is filterBlockKeys with the residual probes
+// (entity sets, amount bound) reading the column vectors at absolute
+// positions instead of an AoS block.
+func filterBlockKeysCols(keys []uint64, base int, gather *colGather, cf *CompiledFilter, sel *blockBitmap) int {
+	if filterKeys(keys, cf, sel) == 0 {
+		return 0
 	}
-	if tail := n & 63; tail != 0 {
-		sel[words-1] = 1<<uint(tail) - 1
-	}
+	words := (len(keys) + 63) / 64
+	var any uint64
 	f := cf.f
-	any := uint64(1)
-
-	// The first active pass sees an all-ones bitmap, where iterating
-	// set bits costs more than just visiting every event: the scalar
-	// predicates (agent, op, object type) get dense branchless kernels
-	// that build each selection word directly, and whichever of them
-	// runs first takes its dense form. Later passes see a thinned
-	// bitmap, so they iterate set bits.
-	dense := true
-
-	if cf.hasOneAgent {
-		any = denseOneAgent(blk, cf.oneAgent, sel)
-		dense = false
-	} else if cf.agents != nil {
-		any = 0
-		for w := 0; w < words; w++ {
-			b := sel[w]
-			for r := b; r != 0; r &= r - 1 {
-				tz := bits.TrailingZeros64(r)
-				if _, ok := cf.agents[blk[w<<6+tz].AgentID]; !ok {
-					b &^= 1 << uint(tz)
-				}
-			}
-			sel[w] = b
-			any |= b
-		}
-		dense = false
-	}
-	if any == 0 {
-		return 0
-	}
-
-	if cf.hasOneOp {
-		if dense {
-			any = denseOneOp(blk, cf.oneOp, sel)
-		} else {
-			any = 0
-			for w := 0; w < words; w++ {
-				b := sel[w]
-				for r := b; r != 0; r &= r - 1 {
-					tz := bits.TrailingZeros64(r)
-					if blk[w<<6+tz].Op != cf.oneOp {
-						b &^= 1 << uint(tz)
-					}
-				}
-				sel[w] = b
-				any |= b
-			}
-		}
-		dense = false
-	} else if cf.ops != nil {
-		if dense {
-			any = denseOps(blk, cf.ops, sel)
-		} else {
-			any = 0
-			for w := 0; w < words; w++ {
-				b := sel[w]
-				for r := b; r != 0; r &= r - 1 {
-					tz := bits.TrailingZeros64(r)
-					if !cf.ops[blk[w<<6+tz].Op] {
-						b &^= 1 << uint(tz)
-					}
-				}
-				sel[w] = b
-				any |= b
-			}
-		}
-		dense = false
-	}
-	if any == 0 {
-		return 0
-	}
-
-	if f.ObjType != sysmon.EntityInvalid {
-		if dense {
-			any = denseObjType(blk, f.ObjType, sel)
-		} else {
-			any = 0
-			for w := 0; w < words; w++ {
-				b := sel[w]
-				for r := b; r != 0; r &= r - 1 {
-					tz := bits.TrailingZeros64(r)
-					if blk[w<<6+tz].ObjType != f.ObjType {
-						b &^= 1 << uint(tz)
-					}
-				}
-				sel[w] = b
-				any |= b
-			}
-		}
-		dense = false
-	}
-	if any == 0 {
-		return 0
-	}
-
 	if f.Subjects != nil {
 		any = 0
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
 				tz := bits.TrailingZeros64(r)
-				if !f.Subjects.Has(blk[w<<6+tz].Subject) {
+				if !f.Subjects.Has(sysmon.EntityID(gather.sub.u32(base + w<<6 + tz))) {
 					b &^= 1 << uint(tz)
 				}
 			}
 			sel[w] = b
 			any |= b
 		}
-	}
-	if any == 0 {
-		return 0
+		if any == 0 {
+			return 0
+		}
 	}
 
 	if f.Objects != nil {
@@ -865,16 +624,16 @@ func filterBlock(blk []sysmon.Event, cf *CompiledFilter, sel *blockBitmap) int {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
 				tz := bits.TrailingZeros64(r)
-				if !f.Objects.Has(blk[w<<6+tz].Object) {
+				if !f.Objects.Has(sysmon.EntityID(gather.obj.u32(base + w<<6 + tz))) {
 					b &^= 1 << uint(tz)
 				}
 			}
 			sel[w] = b
 			any |= b
 		}
-	}
-	if any == 0 {
-		return 0
+		if any == 0 {
+			return 0
+		}
 	}
 
 	if f.MinAmount != 0 {
@@ -882,7 +641,7 @@ func filterBlock(blk []sysmon.Event, cf *CompiledFilter, sel *blockBitmap) int {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
 				tz := bits.TrailingZeros64(r)
-				if blk[w<<6+tz].Amount < f.MinAmount {
+				if gather.amt.u64(base+w<<6+tz) < f.MinAmount {
 					b &^= 1 << uint(tz)
 				}
 			}
@@ -895,83 +654,4 @@ func filterBlock(blk []sysmon.Event, cf *CompiledFilter, sel *blockBitmap) int {
 		live += bits.OnesCount64(sel[w])
 	}
 	return live
-}
-
-// The dense kernels build a selection word per 64 events with a
-// branchless compare-and-or, so the first predicate pass costs about
-// one comparison per event with no bitmap bookkeeping. They are
-// deliberately monomorphic: a shared kernel taking a predicate closure
-// would pay an uninlinable call per event, which is the cost the block
-// path exists to avoid.
-
-func denseOneAgent(blk []sysmon.Event, agent uint32, sel *blockBitmap) uint64 {
-	var any uint64
-	for base, w := 0, 0; base < len(blk); base, w = base+64, w+1 {
-		run := blk[base:min(base+64, len(blk))]
-		var m uint64
-		for i := range run {
-			var bit uint64
-			if run[i].AgentID == agent {
-				bit = 1
-			}
-			m |= bit << uint(i)
-		}
-		sel[w] = m
-		any |= m
-	}
-	return any
-}
-
-func denseOneOp(blk []sysmon.Event, op sysmon.Operation, sel *blockBitmap) uint64 {
-	var any uint64
-	for base, w := 0, 0; base < len(blk); base, w = base+64, w+1 {
-		run := blk[base:min(base+64, len(blk))]
-		var m uint64
-		for i := range run {
-			var bit uint64
-			if run[i].Op == op {
-				bit = 1
-			}
-			m |= bit << uint(i)
-		}
-		sel[w] = m
-		any |= m
-	}
-	return any
-}
-
-func denseOps(blk []sysmon.Event, ops *[sysmon.NumOperations]bool, sel *blockBitmap) uint64 {
-	var any uint64
-	for base, w := 0, 0; base < len(blk); base, w = base+64, w+1 {
-		run := blk[base:min(base+64, len(blk))]
-		var m uint64
-		for i := range run {
-			var bit uint64
-			if ops[run[i].Op] {
-				bit = 1
-			}
-			m |= bit << uint(i)
-		}
-		sel[w] = m
-		any |= m
-	}
-	return any
-}
-
-func denseObjType(blk []sysmon.Event, t sysmon.EntityType, sel *blockBitmap) uint64 {
-	var any uint64
-	for base, w := 0, 0; base < len(blk); base, w = base+64, w+1 {
-		run := blk[base:min(base+64, len(blk))]
-		var m uint64
-		for i := range run {
-			var bit uint64
-			if run[i].ObjType == t {
-				bit = 1
-			}
-			m |= bit << uint(i)
-		}
-		sel[w] = m
-		any |= m
-	}
-	return any
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -160,37 +159,6 @@ func TestEstimateNeverUndercounts(t *testing.T) {
 	}
 }
 
-func TestScanParallelMatchesSequential(t *testing.T) {
-	s := New(DefaultOptions())
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 1000; i++ {
-		s.Append(mkRecord(uint32(1+rng.Intn(4)), "bash", sysmon.OpRead, "f.txt", rng.Intn(600)))
-	}
-	s.Flush()
-	f := &EventFilter{Ops: []sysmon.Operation{sysmon.OpRead}}
-	var seq []uint64
-	s.Scan(context.Background(), f, func(ev *sysmon.Event) bool { seq = append(seq, ev.ID); return true })
-	var mu sync.Mutex
-	var par []uint64
-	s.ScanParallel(context.Background(), f, func(ev *sysmon.Event) {
-		mu.Lock()
-		par = append(par, ev.ID)
-		mu.Unlock()
-	})
-	if len(seq) != len(par) {
-		t.Fatalf("sequential %d events, parallel %d", len(seq), len(par))
-	}
-	seen := map[uint64]bool{}
-	for _, id := range seq {
-		seen[id] = true
-	}
-	for _, id := range par {
-		if !seen[id] {
-			t.Fatalf("parallel scan produced unknown event %d", id)
-		}
-	}
-}
-
 func TestBatchCommitVisibility(t *testing.T) {
 	opts := DefaultOptions()
 	opts.BatchSize = 100
@@ -250,8 +218,8 @@ func TestEveryEventInExactlyOneChunk(t *testing.T) {
 		}
 		s.Flush()
 		total := 0
-		for _, p := range s.Partitions() {
-			total += p.Len()
+		for _, u := range s.Snapshot().Units(&EventFilter{}) {
+			total += u.Len()
 		}
 		return total == n && s.Len() == n
 	}
@@ -271,19 +239,6 @@ func TestTimeRange(t *testing.T) {
 	lo, hi := s.TimeRange()
 	if lo != base.Add(5*time.Minute).UnixNano() || hi != base.Add(20*time.Minute).UnixNano() {
 		t.Errorf("range = [%d, %d]", lo, hi)
-	}
-}
-
-func TestAgents(t *testing.T) {
-	s := New(DefaultOptions())
-	s.AppendAll([]Record{
-		mkRecord(3, "bash", sysmon.OpRead, "a", 0),
-		mkRecord(1, "bash", sysmon.OpRead, "b", 0),
-		mkRecord(3, "bash", sysmon.OpRead, "c", 0),
-	})
-	s.Flush()
-	if got := s.Agents(); !reflect.DeepEqual(got, []uint32{1, 3}) {
-		t.Errorf("Agents() = %v", got)
 	}
 }
 

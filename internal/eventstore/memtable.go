@@ -1,23 +1,22 @@
 package eventstore
 
-import (
-	"unsafe"
-
-	"github.com/aiql/aiql/internal/sysmon"
-)
+import "github.com/aiql/aiql/internal/sysmon"
 
 // memtable is a hypertable chunk's active write buffer: committed events
 // accumulate here until a seal turns them into an immutable Segment.
+// Next to the events it keeps their packed scan-key column, so the
+// batch scan path reads a memtable the way it reads a sealed segment.
 //
 // Mutation always happens under the Store's write lock, but snapshot
 // readers iterate frozen MemViews of the table with no lock held. The
 // invariant that makes that safe is copy-on-write for the committed
-// prefix: an in-order batch extends the slice with append (writes land
-// past every frozen view's length), and an out-of-order batch builds a
-// freshly merged slice instead of sorting in place, so the backing array
-// a MemView captured is never rewritten.
+// prefix of both slices: an in-order batch extends them with append
+// (writes land past every frozen view's length), and an out-of-order
+// batch builds freshly merged slices instead of sorting in place, so
+// the backing arrays a MemView captured are never rewritten.
 type memtable struct {
 	events []sysmon.Event // sorted by StartTS
+	keys   []uint64       // scanKey of each event, parallel to events
 	minTS  int64
 	maxTS  int64
 }
@@ -28,18 +27,14 @@ func (m *memtable) appendBatch(evs []sysmon.Event) {
 	if len(evs) == 0 {
 		return
 	}
-	if len(m.events) == 0 {
-		m.events = append(m.events, evs...)
-		m.minTS = m.events[0].StartTS
-		m.maxTS = m.events[len(m.events)-1].StartTS
-		return
-	}
-	if evs[0].StartTS >= m.maxTS {
+	first := len(m.events) == 0
+	if first || evs[0].StartTS >= m.maxTS {
 		// common case: agents deliver roughly in order
 		m.events = append(m.events, evs...)
+		m.keys = appendScanKeys(m.keys, evs)
 	} else {
-		// out-of-order batch: merge into a fresh slice; frozen views keep
-		// reading the old backing array untouched
+		// out-of-order batch: merge into fresh slices; frozen views keep
+		// reading the old backing arrays untouched
 		merged := make([]sysmon.Event, 0, len(m.events)+len(evs))
 		i, j := 0, 0
 		for i < len(m.events) && j < len(evs) {
@@ -54,11 +49,12 @@ func (m *memtable) appendBatch(evs []sysmon.Event) {
 		merged = append(merged, m.events[i:]...)
 		merged = append(merged, evs[j:]...)
 		m.events = merged
+		m.keys = appendScanKeys(make([]uint64, 0, len(merged)), merged)
 	}
-	if evs[0].StartTS < m.minTS {
+	if first || evs[0].StartTS < m.minTS {
 		m.minTS = evs[0].StartTS
 	}
-	if last := m.events[len(m.events)-1].StartTS; last > m.maxTS {
+	if last := m.events[len(m.events)-1].StartTS; first || last > m.maxTS {
 		m.maxTS = last
 	}
 }
@@ -66,7 +62,7 @@ func (m *memtable) appendBatch(evs []sysmon.Event) {
 // view freezes the memtable's current contents. The returned MemView
 // stays valid and immutable regardless of later appends or seals.
 func (m *memtable) view() MemView {
-	return MemView{events: m.events, minTS: m.minTS, maxTS: m.maxTS}
+	return MemView{events: m.events, keys: m.keys, minTS: m.minTS, maxTS: m.maxTS}
 }
 
 // MemView is a frozen, read-only view of a chunk's memtable — the
@@ -74,6 +70,7 @@ func (m *memtable) view() MemView {
 // identity to cache under, unlike a sealed Segment).
 type MemView struct {
 	events []sysmon.Event
+	keys   []uint64
 	minTS  int64
 	maxTS  int64
 }
@@ -83,15 +80,6 @@ func (v *MemView) Len() int { return len(v.events) }
 
 // TimeRange returns the minimum and maximum start timestamps.
 func (v *MemView) TimeRange() (int64, int64) { return v.minTS, v.maxTS }
-
-// Events exposes the view's raw events. The slice is immutable and must
-// not be modified.
-func (v *MemView) Events() []sysmon.Event { return v.events }
-
-// ApproxBytes estimates the view's resident event-array footprint.
-func (v *MemView) ApproxBytes() uint64 {
-	return uint64(len(v.events)) * uint64(unsafe.Sizeof(sysmon.Event{}))
-}
 
 // overlaps reports whether the view's time range intersects [from, to).
 func (v *MemView) overlaps(from, to int64) bool {

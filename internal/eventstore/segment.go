@@ -66,12 +66,12 @@ type Segment struct {
 	// because the heap build path sets it concurrently with estimates.
 	opsReady atomic.Bool
 
-	// keysOnce/scanKeys is the packed scan-key column for the batch
-	// filter path (see batch.go), built lazily on the segment's first
-	// batch scan: one word per event instead of the whole 56-byte
-	// struct, so the dense predicate pass streams ~7x less memory. For
-	// reader-backed segments it is a zero-copy cast of the file's key
-	// column.
+	// scanKeys is the packed scan-key column for the batch filter path
+	// (see batch.go): one word per event instead of the whole 56-byte
+	// struct, so the dense predicate pass streams ~7x less memory.
+	// Heap-sealed segments take it from the memtable or compaction
+	// merge that built them; reader-backed segments cast the file's key
+	// column on first use (keysOnce).
 	keysOnce sync.Once
 	scanKeys []uint64
 
@@ -137,34 +137,30 @@ func (g *Segment) fail(err error) {
 	}
 }
 
-// keyColumn returns the segment's packed scan-key column, building it
-// on first use. Sealed segments are immutable, so the column is built
-// once and shared by every concurrent scan. Reader-backed segments cast
-// the mapped key column in place; nil is returned (and the error
-// recorded) if the column is unreadable.
+// keyColumn returns the segment's packed scan-key column. Reader-backed
+// segments cast the mapped key column in place on first use; nil is
+// returned (and the error recorded) if the column is unreadable.
 func (g *Segment) keyColumn() []uint64 {
+	if !g.fileBacked() {
+		return g.scanKeys
+	}
 	g.keysOnce.Do(func() {
-		if rd := g.fileReader(); rd != nil {
-			col, err := rd.Column(durable.ColKey)
-			if err != nil {
-				g.fail(err)
-				return
-			}
-			if keys, ok := durable.AsUint64s(col); ok {
-				g.scanKeys = keys
-				return
-			}
-			keys := make([]uint64, len(col)/8)
-			for i := range keys {
-				keys[i] = binary.LittleEndian.Uint64(col[i*8:])
-			}
+		rd := g.fileReader()
+		if rd == nil {
+			return
+		}
+		col, err := rd.Column(durable.ColKey)
+		if err != nil {
+			g.fail(err)
+			return
+		}
+		if keys, ok := durable.AsUint64s(col); ok {
 			g.scanKeys = keys
 			return
 		}
-		keys := make([]uint64, len(g.events))
-		for i := range g.events {
-			ev := &g.events[i]
-			keys[i] = scanKey(ev.AgentID, ev.Op, ev.ObjType)
+		keys := make([]uint64, len(col)/8)
+		for i := range keys {
+			keys[i] = binary.LittleEndian.Uint64(col[i*8:])
 		}
 		g.scanKeys = keys
 	})
@@ -231,10 +227,10 @@ func (g *Segment) materialize() []sysmon.Event {
 	return g.events
 }
 
-// newSegment seals a sorted event run into an immutable segment. The
-// caller must not retain write access to events.
-func newSegment(id uint64, key PartKey, events []sysmon.Event, indexed bool) *Segment {
-	g := &Segment{id: id, key: key, events: events, count: len(events), indexed: indexed}
+// newSegment seals a sorted event run and its scan-key column into an
+// immutable segment. The caller must not retain write access to either.
+func newSegment(id uint64, key PartKey, events []sysmon.Event, keys []uint64, indexed bool) *Segment {
+	g := &Segment{id: id, key: key, events: events, scanKeys: keys, count: len(events), indexed: indexed}
 	if len(events) > 0 {
 		g.minTS = events[0].StartTS
 		g.maxTS = events[len(events)-1].StartTS

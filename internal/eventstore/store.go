@@ -353,7 +353,7 @@ func (s *Store) sealAllLocked() []*Segment {
 func (s *Store) sealPartLocked(p *partState) *Segment {
 	s.nextSegID++
 	s.snap = nil
-	g := newSegment(s.nextSegID, p.key, p.mem.events, s.opts.Indexes)
+	g := newSegment(s.nextSegID, p.key, p.mem.events, p.mem.keys, s.opts.Indexes)
 	p.segs = append(p.segs, g)
 	p.mem = memtable{}
 	return g
@@ -428,68 +428,13 @@ func (s *Store) Scan(ctx context.Context, f *EventFilter, fn func(*sysmon.Event)
 	return s.Snapshot().Scan(ctx, f, fn)
 }
 
-// ScanChunked scans the matching units one at a time over a fresh
-// snapshot; see Snapshot.ScanChunked.
-func (s *Store) ScanChunked(ctx context.Context, f *EventFilter, keep func(*sysmon.Event) bool, merge func(batch []sysmon.Event, visited int64) bool) error {
-	return s.Snapshot().ScanChunked(ctx, f, keep, merge)
-}
-
 // Collect returns all events matching the filter.
 func (s *Store) Collect(f *EventFilter) []sysmon.Event {
 	return s.Snapshot().Collect(f)
-}
-
-// ScanParallel fans the scan out across units of a fresh snapshot; see
-// Snapshot.ScanParallel.
-func (s *Store) ScanParallel(ctx context.Context, f *EventFilter, fn func(*sysmon.Event)) int {
-	return s.Snapshot().ScanParallel(ctx, f, fn)
-}
-
-// ScanPartitions fans the scan out across units of a fresh snapshot;
-// see Snapshot.ScanPartitions.
-func (s *Store) ScanPartitions(ctx context.Context, f *EventFilter, keep func(*sysmon.Event) bool, merge func(batch []sysmon.Event, visited int64)) int {
-	return s.Snapshot().ScanPartitions(ctx, f, keep, merge)
 }
 
 // EstimateMatches returns an upper-bound estimate of the number of events
 // matching the filter; see Snapshot.EstimateMatches.
 func (s *Store) EstimateMatches(f *EventFilter) int {
 	return s.Snapshot().EstimateMatches(f)
-}
-
-// Agents returns the distinct agent IDs present in the store, ascending.
-func (s *Store) Agents() []uint32 {
-	return s.Snapshot().Agents()
-}
-
-// PartitionView is one hypertable chunk's committed events, flattened
-// across its segments and memtable, for bulk consumers (baseline
-// loaders, tests).
-type PartitionView struct {
-	Key    PartKey
-	events []sysmon.Event
-}
-
-// Len returns the number of events in the chunk.
-func (p *PartitionView) Len() int { return len(p.events) }
-
-// Events returns the chunk's events: each segment's run oldest first,
-// then the memtable tail. The slice is owned by the caller.
-func (p *PartitionView) Events() []sysmon.Event { return p.events }
-
-// Partitions returns the store's chunks in deterministic order, for bulk
-// consumers (baseline loaders, tests).
-func (s *Store) Partitions() []*PartitionView {
-	sn := s.Snapshot()
-	out := make([]*PartitionView, 0, len(sn.parts))
-	for i := range sn.parts {
-		p := &sn.parts[i]
-		pv := &PartitionView{Key: p.key}
-		for _, g := range p.segs {
-			pv.events = append(pv.events, g.Events()...)
-		}
-		pv.events = append(pv.events, p.mem.Events()...)
-		out = append(out, pv)
-	}
-	return out
 }
