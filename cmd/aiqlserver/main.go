@@ -104,7 +104,6 @@ func main() {
 		ingestMax  = flag.Int64("ingest-max-bytes", 0, "max ingest request body bytes (0 = 8 MiB)")
 		maxWatches = flag.Int("max-watches", 0, "max standing queries per dataset (0 = 64, negative disables standing queries)")
 		watchBuf   = flag.Int("watch-buffer", 0, "buffered matches per SSE subscriber before drop-oldest (0 = 256)")
-		segComp    = flag.String("segment-compression", "", "block codec for newly written v2 segment files: lz4 (default) or none")
 		blockCache = flag.Int64("block-cache-bytes", 0, "decompressed-block cache byte budget per dataset (0 = 32 MiB, negative disables)")
 		shards     = flag.String("shards", "", "partition-map JSON declaring sharded datasets; each member is a local store dir or a remote peer URL (see README \"Sharded deployment\")")
 		shardTO    = flag.Duration("shard-timeout", 30*time.Second, "per-member execution timeout for sharded queries")
@@ -140,13 +139,12 @@ func main() {
 			MaxWatches:       *maxWatches,
 			WatchBuffer:      *watchBuf,
 		},
-		ScanCacheBytes:     *scanCache,
-		CompactInterval:    *compact,
-		ScanWorkers:        *scanWork,
-		SegmentCompression: *segComp,
-		BlockCacheBytes:    *blockCache,
-		Metrics:            metrics,
-		SlowLog:            slowLog,
+		ScanCacheBytes:  *scanCache,
+		CompactInterval: *compact,
+		ScanWorkers:     *scanWork,
+		BlockCacheBytes: *blockCache,
+		Metrics:         metrics,
+		SlowLog:         slowLog,
 	})
 
 	if *datasets != "" {

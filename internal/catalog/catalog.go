@@ -50,9 +50,6 @@ type Config struct {
 	// admission pool's worker count (Service.Workers, itself defaulting
 	// to GOMAXPROCS); 1 scans sequentially.
 	ScanWorkers int
-	// SegmentCompression selects the block codec for newly written v2
-	// segment files ("lz4" or "none"); empty selects the store default.
-	SegmentCompression string
 	// BlockCacheBytes budgets each dataset's decompressed-block cache;
 	// 0 selects the store default, negative disables it.
 	BlockCacheBytes int64
@@ -125,10 +122,9 @@ func New(cfg Config) *Catalog {
 }
 
 // storageOptions returns the default storage options with the catalog's
-// segment-codec and block-cache settings applied.
+// block-cache setting applied.
 func (c *Catalog) storageOptions() aiql.StorageOptions {
 	storage := aiql.DefaultStorage()
-	storage.SegmentCompression = c.cfg.SegmentCompression
 	storage.BlockCacheBytes = c.cfg.BlockCacheBytes
 	return storage
 }

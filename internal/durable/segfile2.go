@@ -172,8 +172,9 @@ func colValue(e *sysmon.Event, col int) uint64 {
 func colSigned(col int) bool { return col == ColStartTS || col == ColEndTS }
 
 // EncodeSegmentV2 serializes the segment into the v2 block-compressed
-// columnar layout. With compress false every block is stored raw (the
-// -segment-compression=none configuration).
+// columnar layout. Stores always compress; with compress false every
+// block is stored raw, the reference image decoder tests compare
+// against.
 func EncodeSegmentV2(d *SegmentData, compress bool) []byte {
 	d.fillEventIDBounds()
 	n := len(d.Events)

@@ -6,6 +6,7 @@
 //	BenchmarkScanColdSequential   row-at-a-time reference loop
 //	BenchmarkScanColdWorkersK     batch/bitmap executor, K workers
 //	BenchmarkScanWarmWorkersK     fully scan-cached executor
+//	BenchmarkScanMemtableTail     executor over unsealed memtables only
 //
 // Cold WorkersK vs Sequential isolates the batch/bitmap speedup (plus
 // worker scaling on multi-core hosts; Workers1 is the executor with no
@@ -129,4 +130,51 @@ func BenchmarkScanWarmWorkers4(b *testing.B) {
 }
 func BenchmarkScanWarmWorkers8(b *testing.B) {
 	benchScanExecutor(b, Config{ScanWorkers: 8, ScanCacheBytes: 64 << 20}, true)
+}
+
+// BenchmarkScanMemtableTail scans what a standing query rescans after
+// every commit: the unsealed memtable tails, which no scan cache can
+// hold. The Fig4 records are committed with the last 8192 left
+// unsealed, and the filter is the `proc p read file f` pattern of the
+// Fig4 queries without an agent bound, so every tail event is tested.
+func BenchmarkScanMemtableTail(b *testing.B) {
+	recs := datagen.Generate(datagen.Fig4Dataset(50000, 10, 42))
+	store := eventstore.New(eventstore.DefaultOptions())
+	sealed := len(recs) - 8192
+	store.AppendAll(recs[:sealed])
+	if err := store.Flush(); err != nil {
+		b.Fatal(err)
+	}
+	store.AppendAll(recs[sealed:])
+	filter := &eventstore.EventFilter{
+		Ops:     []sysmon.Operation{sysmon.OpRead},
+		ObjType: sysmon.EntityFile,
+	}
+	var units []eventstore.ScanUnit
+	tail := 0
+	for _, u := range store.Snapshot().Units(filter) {
+		if !u.Sealed() {
+			units = append(units, u)
+			tail += u.Len()
+		}
+	}
+	if tail != 8192 {
+		b.Fatalf("memtable units hold %d events, want 8192", tail)
+	}
+	e := NewWithConfig(store, Config{ScanWorkers: 1})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var stats ExecStats
+		rows := 0
+		err := e.forEachUnitOrdered(context.Background(), units, filter, nil, &stats, 0,
+			func(batch []sysmon.Event) bool {
+				rows += len(batch)
+				return true
+			})
+		if err != nil {
+			b.Fatal(err)
+		}
+		scanBenchSink = rows
+	}
 }

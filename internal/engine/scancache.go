@@ -134,13 +134,14 @@ func newScanCache(maxBytes int64) *scanCache {
 	}
 }
 
-// entryBytes approximates an entry's resident size: the event array
-// plus fixed bookkeeping overhead (so empty batches — the common case
-// for selective filters — still cost something and cannot grow the map
-// unboundedly for free).
+// entryBytes approximates an entry's resident size: the event array's
+// whole allocation — batches are grown in steps, so they keep spare
+// capacity past their length — plus fixed bookkeeping overhead (so
+// empty batches, the common case for selective filters, still cost
+// something and cannot grow the map unboundedly for free).
 func entryBytes(events []sysmon.Event) int64 {
 	const overhead = 96
-	return int64(len(events))*int64(unsafe.Sizeof(sysmon.Event{})) + overhead
+	return int64(cap(events))*int64(unsafe.Sizeof(sysmon.Event{})) + overhead
 }
 
 // peekAll looks up every sealed unit's batch under one lock acquisition

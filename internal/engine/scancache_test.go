@@ -199,3 +199,16 @@ func TestCursorSnapshotIsolation(t *testing.T) {
 		t.Errorf("store has %d events, want %d", s.Len(), wantRows+10)
 	}
 }
+
+// TestScanCacheChargesCapacity: a cached batch keeps its whole backing
+// array alive, so the byte budget is charged for its capacity, not its
+// length.
+func TestScanCacheChargesCapacity(t *testing.T) {
+	c := newScanCache(1 << 20)
+	batch := make([]sysmon.Event, 10, 20)
+	c.put(scanFP{1}, 7, batch)
+	want := entryBytes(make([]sysmon.Event, 20))
+	if got := c.stats().Bytes; got != want {
+		t.Fatalf("cache charged %d bytes for a 10/20 len/cap batch, want %d", got, want)
+	}
+}

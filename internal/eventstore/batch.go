@@ -532,10 +532,9 @@ func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel 
 		return 0
 	}
 	words := (len(keys) + 63) / 64
-	var any uint64
 	f := cf.f
 	if f.Subjects != nil {
-		any = 0
+		var any uint64
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
@@ -553,7 +552,7 @@ func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel 
 	}
 
 	if f.Objects != nil {
-		any = 0
+		var any uint64
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
@@ -598,10 +597,9 @@ func filterBlockKeysCols(keys []uint64, base int, gather *colGather, cf *Compile
 		return 0
 	}
 	words := (len(keys) + 63) / 64
-	var any uint64
 	f := cf.f
 	if f.Subjects != nil {
-		any = 0
+		var any uint64
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
@@ -619,7 +617,7 @@ func filterBlockKeysCols(keys []uint64, base int, gather *colGather, cf *Compile
 	}
 
 	if f.Objects != nil {
-		any = 0
+		var any uint64
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {

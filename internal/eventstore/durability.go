@@ -379,9 +379,10 @@ func (s *Store) persistSealed(segs []*Segment) {
 }
 
 // writeSegmentFile writes g as a v2 (columnar, block-compressed) segment
-// file, honoring the store's codec choice.
+// file: lz4 blocks with a per-block stored-raw escape, and the
+// scan-critical columns (scan key, start timestamp) always raw.
 func (s *Store) writeSegmentFile(path string, g *Segment) (int64, error) {
-	return durable.WriteSegmentFileV2(path, g.segmentData(), s.opts.SegmentCompression != "none")
+	return durable.WriteSegmentFileV2(path, g.segmentData(), true)
 }
 
 // appendManifestDeltaLocked installs the next manifest edition as one

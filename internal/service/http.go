@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -552,33 +551,16 @@ func (h *apiHandler) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, svc.cfg.IngestMaxBytes))
-	var recs []aiql.Record
-	for line := 1; ; line++ {
-		var ir IngestRecord
-		if err := dec.Decode(&ir); err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
-				svc.ingestRejected.Add(1)
-				WriteError(w, &apiError{status: http.StatusRequestEntityTooLarge, code: CodeTooLarge,
-					msg: fmt.Sprintf("ingest body exceeds %d bytes, split the batch", svc.cfg.IngestMaxBytes)})
-				return
-			}
-			svc.ingestRejected.Add(1)
-			WriteError(w, &apiError{status: http.StatusBadRequest, code: CodeBadRequest,
-				msg: fmt.Sprintf("ingest record %d: bad JSON: %v", line, err)})
-			return
+	recs, err := decodeIngest(http.MaxBytesReader(w, r.Body, svc.cfg.IngestMaxBytes))
+	if err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			err = &apiError{status: http.StatusRequestEntityTooLarge, code: CodeTooLarge,
+				msg: fmt.Sprintf("ingest body exceeds %d bytes, split the batch", svc.cfg.IngestMaxBytes)}
 		}
-		rec, err := ir.toRecord(line)
-		if err != nil {
-			svc.ingestRejected.Add(1)
-			WriteError(w, err)
-			return
-		}
-		recs = append(recs, rec)
+		svc.ingestRejected.Add(1)
+		WriteError(w, err)
+		return
 	}
 	if len(recs) == 0 {
 		WriteError(w, &apiError{status: http.StatusBadRequest, code: CodeBadRequest,

@@ -2,7 +2,10 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -158,6 +161,34 @@ func (ir *IngestRecord) toRecord(line int) (aiql.Record, error) {
 	}
 	rec.Amount = ir.Amount
 	return rec, nil
+}
+
+// decodeIngest reads an NDJSON ingest body (a stream of IngestRecord
+// JSON values, one per line by convention) into validated records,
+// stopping at the first bad record. A body over the reader's byte cap
+// fails with the reader's *http.MaxBytesError.
+func decodeIngest(body io.Reader) ([]aiql.Record, error) {
+	dec := json.NewDecoder(body)
+	var recs []aiql.Record
+	for line := 1; ; line++ {
+		var ir IngestRecord
+		if err := dec.Decode(&ir); err != nil {
+			if errors.Is(err, io.EOF) {
+				return recs, nil
+			}
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				return nil, err
+			}
+			return nil, &apiError{status: http.StatusBadRequest, code: CodeBadRequest,
+				msg: fmt.Sprintf("ingest record %d: bad JSON: %v", line, err)}
+		}
+		rec, err := ir.toRecord(line)
+		if err != nil {
+			return nil, err
+		}
+		recs = append(recs, rec)
+	}
 }
 
 // IngestResult reports one committed batch.
