@@ -72,6 +72,15 @@ func (e *Engine) forEachUnitOrdered(ctx context.Context, units []eventstore.Scan
 		}
 		r.batch, r.visited, r.complete = units[i].CollectBatch(ctx, cf, keep)
 		if r.complete && cache != nil && units[i].Sealed() {
+			// The collector grows a batch for every filter survivor
+			// before keep runs, so under a residual predicate the
+			// batch's spare capacity can dwarf what it holds; the cache
+			// keeps (and charges for) an exact-size copy instead.
+			if cap(r.batch) > len(r.batch) {
+				exact := make([]sysmon.Event, len(r.batch))
+				copy(exact, r.batch)
+				r.batch = exact
+			}
 			cache.put(fp, units[i].SegmentID(), r.batch)
 		}
 	}

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -397,8 +398,14 @@ func (e *Engine) compilePatterns(snap *eventstore.Snapshot, q *ast.MultieventQue
 			}
 			pp.evtPreds = append(pp.evtPreds, compileEvtPred(f))
 		}
+		// Estimates are taken before the bounds below are pushed, so
+		// scheduling — and with it the emission order of a streamed
+		// result — is the same with or without them.
 		if needEstimates {
 			pp.estimate = snap.EstimateMatches(&pp.filter)
+		}
+		for k := range pp.evtPreds {
+			pushBound(&pp.filter, &pp.evtPreds[k])
 		}
 		plan.patterns = append(plan.patterns, pp)
 	}
@@ -424,6 +431,94 @@ func splitGlobals(globals []ast.Filter) ([]uint32, []evtPred, error) {
 		preds = append(preds, compileEvtPred(f))
 	}
 	return agents, preds, nil
+}
+
+// pushBound narrows a storage filter with a necessary condition of one
+// compiled event predicate, so the scan kernel rejects what the
+// predicate would reject before a survivor is gathered: amount
+// comparisons become the filter's amount range, start-time comparisons
+// intersect its [From, To) slice. The predicate itself stays in the
+// pattern's evtPreds as the exact residual, so a bound only has to
+// admit every event the predicate admits. Where no such bound can be
+// expressed — NaN, a threshold outside the search range, an end that
+// would land on a filter's zero sentinel — nothing is pushed.
+func pushBound(f *eventstore.EventFilter, p *evtPred) {
+	var isAmount bool
+	switch p.attr {
+	case "amount":
+		isAmount = true
+	case "starttime", "start_time":
+	default:
+		return
+	}
+	lo, hi, ok := intRange(p.op, p.num)
+	if !ok {
+		return
+	}
+	if isAmount {
+		if lo > 0 && uint64(lo) > f.MinAmount {
+			f.MinAmount = uint64(lo)
+		}
+		if hi > 0 && hi < math.MaxInt64 && (f.MaxAmount == 0 || uint64(hi) < f.MaxAmount) {
+			f.MaxAmount = uint64(hi)
+		}
+		return
+	}
+	if lo != math.MinInt64 && lo != 0 && (f.From == 0 || lo > f.From) {
+		f.From = lo
+	}
+	if hi != math.MaxInt64 && hi+1 != 0 && (f.To == 0 || hi+1 < f.To) {
+		f.To = hi + 1
+	}
+}
+
+// intRange returns the closed range [lo, hi] of the integers v for
+// which float64(v) op x holds — the comparison evtPred.eval makes for
+// an integer attribute — with math.MinInt64/math.MaxInt64 standing for
+// an open end. ok is false when the comparison yields no range (NaN,
+// |x| ≥ 2^62, or an operator other than <, <=, >, >=, =).
+func intRange(op ast.CmpOp, x float64) (lo, hi int64, ok bool) {
+	lo, hi = math.MinInt64, math.MaxInt64
+	switch op {
+	case ast.CmpGT:
+		lo, ok = firstInt(x, true)
+	case ast.CmpGE:
+		lo, ok = firstInt(x, false)
+	case ast.CmpLT:
+		hi, ok = firstInt(x, false)
+		hi--
+	case ast.CmpLE:
+		hi, ok = firstInt(x, true)
+		hi--
+	case ast.CmpEQ:
+		lo, ok = firstInt(x, false)
+		hi, _ = firstInt(x, true)
+		hi--
+	}
+	return lo, hi, ok
+}
+
+// firstInt returns the smallest int64 v with float64(v) > x (strict) or
+// float64(v) >= x. The conversion rounds to nearest and is monotone, so
+// the answer is the threshold of a binary search; below 2^62 rounding
+// moves a value by at most 256, so a window of ±1024 around trunc(x)
+// always holds it. That covers fractional thresholds (> 2.5 and >= 2.5
+// both start at 3) as well as integers above 2^53, where consecutive
+// values share one float. ok is false for NaN and |x| ≥ 2^62.
+func firstInt(x float64, strict bool) (int64, bool) {
+	const limit = 1 << 62
+	if math.IsNaN(x) || x <= -limit || x >= limit {
+		return 0, false
+	}
+	base := int64(x) - 1024
+	n := sort.Search(2048, func(i int) bool {
+		v := float64(base + int64(i))
+		if strict {
+			return v > x
+		}
+		return v >= x
+	})
+	return base + int64(n), true
 }
 
 func filterAgent(f ast.Filter) (uint32, bool) {

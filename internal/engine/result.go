@@ -20,7 +20,7 @@ type Result struct {
 // ExecStats describes how a query executed.
 type ExecStats struct {
 	Elapsed       time.Duration
-	ScannedEvents int64    // events touched by pattern scans (cache hits scan nothing)
+	ScannedEvents int64    // events passing the patterns' storage filters, pushed bounds included (cache hits scan nothing)
 	Bindings      int      // partial bindings materialized
 	PatternOrder  []string // event aliases in scheduled execution order
 	Partitions    int      // hypertable chunks in the snapshot queried

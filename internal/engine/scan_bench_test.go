@@ -7,6 +7,7 @@
 //	BenchmarkScanColdWorkersK     batch/bitmap executor, K workers
 //	BenchmarkScanWarmWorkersK     fully scan-cached executor
 //	BenchmarkScanMemtableTail     executor over unsealed memtables only
+//	BenchmarkScanAmountBound      planned amount-bound scan, cold file-backed store
 //
 // Cold WorkersK vs Sequential isolates the batch/bitmap speedup (plus
 // worker scaling on multi-core hosts; Workers1 is the executor with no
@@ -16,9 +17,13 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
+	"github.com/aiql/aiql/internal/aiql/ast"
+	"github.com/aiql/aiql/internal/aiql/parser"
 	"github.com/aiql/aiql/internal/datagen"
 	"github.com/aiql/aiql/internal/eventstore"
 	"github.com/aiql/aiql/internal/sysmon"
@@ -176,5 +181,73 @@ func BenchmarkScanMemtableTail(b *testing.B) {
 			b.Fatal(err)
 		}
 		scanBenchSink = rows
+	}
+}
+
+// BenchmarkScanAmountBound scans what the pattern of
+// `proc p read || write file f as evt with evt.amount > X` asks of a
+// cold file-backed store: the Fig4 50k records saved to a store
+// directory and reopened before every run, so each run decodes the
+// segment columns it touches from the file. X keeps under 1% of the
+// read and write events. The scan takes the planner's filter and
+// residual predicates, so it measures what the plan pushes into the
+// storage kernel.
+func BenchmarkScanAmountBound(b *testing.B) {
+	src := eventstore.New(eventstore.DefaultOptions())
+	src.AppendAll(datagen.Generate(datagen.Fig4Dataset(50000, 10, 42)))
+	dir := b.TempDir()
+	if err := src.SaveDir(dir); err != nil {
+		b.Fatal(err)
+	}
+	rw := src.Snapshot().Collect(&eventstore.EventFilter{
+		Ops:     []sysmon.Operation{sysmon.OpRead, sysmon.OpWrite},
+		ObjType: sysmon.EntityFile,
+	})
+	amounts := make([]uint64, len(rw))
+	for i := range rw {
+		amounts[i] = rw[i].Amount
+	}
+	slices.Sort(amounts)
+	x := amounts[len(amounts)*995/1000]
+	q, err := parser.Parse(fmt.Sprintf("proc p read || write file f as evt\nwith evt.amount > %d\nreturn distinct p, f", x))
+	if err != nil {
+		b.Fatal(err)
+	}
+	mq := q.(*ast.MultieventQuery)
+	opts := eventstore.DefaultOptions()
+	opts.Dir = dir
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		store, err := eventstore.Open(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		e := NewWithConfig(store, Config{ScanWorkers: 1})
+		snap := store.Snapshot()
+		b.StartTimer()
+		plan, err := e.buildPlan(snap, mq)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pp := plan.patterns[0]
+		var stats ExecStats
+		rows := 0
+		err = e.forEachUnitOrdered(context.Background(), snap.Units(&pp.filter), &pp.filter, pp.evtPreds, &stats, 0,
+			func(batch []sysmon.Event) bool {
+				rows += len(batch)
+				return true
+			})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		if rows == 0 || rows*100 >= len(rw) {
+			b.Fatalf("amount > %d kept %d of %d read/write events, want under 1%%", x, rows, len(rw))
+		}
+		scanBenchSink = rows
+		store.Close()
+		b.StartTimer()
 	}
 }

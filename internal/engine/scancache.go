@@ -52,6 +52,7 @@ func scanFingerprint(f *eventstore.EventFilter, preds []evtPred) scanFP {
 	wr(uint64(f.To))
 	wr(uint64(f.ObjType))
 	wr(f.MinAmount)
+	wr(f.MaxAmount)
 	wr(uint64(len(f.Agents)))
 	for _, a := range f.Agents {
 		wr(uint64(a))

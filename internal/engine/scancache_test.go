@@ -212,3 +212,49 @@ func TestScanCacheChargesCapacity(t *testing.T) {
 		t.Fatalf("cache charged %d bytes for a 10/20 len/cap batch, want %d", got, want)
 	}
 }
+
+// TestScanCacheStoresExactBatches: under a residual predicate the
+// collector grows a batch for every filter survivor before the
+// predicate drops some of them, so the cache must keep an exact-size
+// copy — every entry is charged for its length alone.
+func TestScanCacheStoresExactBatches(t *testing.T) {
+	s := buildSegmentedStore(t, 16, 160, 0)
+	e := NewWithConfig(s, Config{ScanCacheBytes: 8 << 20})
+	// agentid > 1 is not pushed into the storage filter: it stays a
+	// residual predicate that keeps about half of each unit's survivors.
+	q := `proc p["%worker.exe"] write file f as evt with evt.agentid > 1 return p, f`
+	if _, err := e.Execute(context.Background(), q); err != nil {
+		t.Fatal(err)
+	}
+	c := e.scache.Load()
+	var want int64
+	kept := 0
+	c.mu.Lock()
+	for _, el := range c.entries {
+		events := el.Value.(*scanCacheEntry).events
+		want += entryBytes(events[:len(events):len(events)])
+		kept += len(events)
+	}
+	c.mu.Unlock()
+	if kept == 0 {
+		t.Fatal("the query cached no events")
+	}
+	if got := c.stats().Bytes; got != want {
+		t.Fatalf("cache charged %d bytes, want %d (every batch at its length)", got, want)
+	}
+}
+
+// TestScanFingerprintAmountRange: scans under different amount ranges
+// never share a cache key, whichever end differs.
+func TestScanFingerprintAmountRange(t *testing.T) {
+	seen := map[scanFP]eventstore.EventFilter{}
+	for _, f := range []eventstore.EventFilter{
+		{}, {MinAmount: 100}, {MaxAmount: 100}, {MinAmount: 100, MaxAmount: 200}, {MinAmount: 100, MaxAmount: 300},
+	} {
+		fp := scanFingerprint(&f, nil)
+		if prev, dup := seen[fp]; dup {
+			t.Fatalf("filters %+v and %+v share a fingerprint", prev, f)
+		}
+		seen[fp] = f
+	}
+}

@@ -76,6 +76,12 @@ type CompiledFilter struct {
 	mask, want uint64
 	needAgents bool
 	needOps    bool
+
+	// amtMin/amtMax are the filter's amount range with open ends
+	// widened to the full uint64 range; needAmount is false when both
+	// ends are open.
+	amtMin, amtMax uint64
+	needAmount     bool
 }
 
 // Compile precomputes the filter's scan-time lookup structures. The
@@ -100,6 +106,11 @@ func (f *EventFilter) Compile() *CompiledFilter {
 		cf.mask |= scanKeyTypeMask
 		cf.want |= uint64(f.ObjType) << 8
 	}
+	cf.amtMin, cf.amtMax = f.MinAmount, f.MaxAmount
+	if cf.amtMax == 0 {
+		cf.amtMax = ^uint64(0)
+	}
+	cf.needAmount = f.MinAmount != 0 || f.MaxAmount != 0
 	return cf
 }
 
@@ -523,7 +534,7 @@ func filterKeys(keys []uint64, cf *CompiledFilter, sel *blockBitmap) uint64 {
 
 // filterBlockKeys narrows the selection bitmap of one block of a
 // resident event array: the key-only stage (filterKeys), then the
-// entity sets and the amount bound probe the surviving events. It
+// entity sets and the amount range probe the surviving events. It
 // returns the surviving count. Predicate semantics mirror
 // EventFilter.matches exactly (minus From/To, which the caller's time
 // slice already guarantees).
@@ -569,12 +580,13 @@ func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel 
 		}
 	}
 
-	if f.MinAmount != 0 {
+	if cf.needAmount {
+		lo, hi := cf.amtMin, cf.amtMax
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
 				tz := bits.TrailingZeros64(r)
-				if blk[w<<6+tz].Amount < f.MinAmount {
+				if a := blk[w<<6+tz].Amount; a < lo || a > hi {
 					b &^= 1 << uint(tz)
 				}
 			}
@@ -590,8 +602,11 @@ func filterBlockKeys(blk []sysmon.Event, keys []uint64, cf *CompiledFilter, sel 
 }
 
 // filterBlockKeysCols is filterBlockKeys with the residual probes
-// (entity sets, amount bound) reading the column vectors at absolute
-// positions instead of an AoS block.
+// (entity sets, amount range) reading the column vectors at absolute
+// positions instead of an AoS block. Each probe decodes its column's
+// blocks only where events survived the passes before it, so the
+// columns a survivor's gather needs beyond these are decoded only for
+// events that pass the whole filter.
 func filterBlockKeysCols(keys []uint64, base int, gather *colGather, cf *CompiledFilter, sel *blockBitmap) int {
 	if filterKeys(keys, cf, sel) == 0 {
 		return 0
@@ -634,12 +649,13 @@ func filterBlockKeysCols(keys []uint64, base int, gather *colGather, cf *Compile
 		}
 	}
 
-	if f.MinAmount != 0 {
+	if cf.needAmount {
+		lo, hi := cf.amtMin, cf.amtMax
 		for w := 0; w < words; w++ {
 			b := sel[w]
 			for r := b; r != 0; r &= r - 1 {
 				tz := bits.TrailingZeros64(r)
-				if gather.amt.u64(base+w<<6+tz) < f.MinAmount {
+				if a := gather.amt.u64(base + w<<6 + tz); a < lo || a > hi {
 					b &^= 1 << uint(tz)
 				}
 			}

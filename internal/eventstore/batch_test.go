@@ -128,11 +128,15 @@ func TestCollectBatchMatchesScan(t *testing.T) {
 				{Ops: []sysmon.Operation{sysmon.OpRead, sysmon.OpWrite}}, // op set: sparse probe
 				{ObjType: sysmon.EntityFile},
 				{MinAmount: 120},
+				{MaxAmount: 60},
+				{MinAmount: 50, MaxAmount: 70},
+				{MinAmount: 90, MaxAmount: 80}, // empty range: must match nothing
 				{From: from, To: to},
 				{Agents: []uint32{2}, Ops: []sysmon.Operation{sysmon.OpWrite}, ObjType: sysmon.EntityFile},
 				{Agents: []uint32{1, 4}, Ops: []sysmon.Operation{sysmon.OpSend, sysmon.OpConnect}, MinAmount: 40, From: from},
 				{Subjects: bash}, // posting-list path on indexed segments
 				{Subjects: bash, From: from, To: to},
+				{Subjects: bash, MinAmount: 30, MaxAmount: 150},
 				{Objects: NewIDSet()}, // empty set: must match nothing
 			}
 			// Every batch is collected before the first reference scan:

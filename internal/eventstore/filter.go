@@ -22,8 +22,9 @@ type EventFilter struct {
 	// unconstrained, an empty set matches nothing.
 	Subjects *IDSet
 	Objects  *IDSet
-	// MinAmount filters on the event's byte count (0 = no filter).
-	MinAmount uint64
+	// MinAmount/MaxAmount bound the event's byte count to the closed
+	// range [MinAmount, MaxAmount]; a zero end leaves that end open.
+	MinAmount, MaxAmount uint64
 }
 
 // opSet returns a dense lookup table for the filter's operations, or nil
@@ -81,6 +82,9 @@ func (f *EventFilter) matches(ev *sysmon.Event, ops *[sysmon.NumOperations]bool,
 		return false
 	}
 	if f.MinAmount != 0 && ev.Amount < f.MinAmount {
+		return false
+	}
+	if f.MaxAmount != 0 && ev.Amount > f.MaxAmount {
 		return false
 	}
 	return true

@@ -309,14 +309,19 @@ func (g *Segment) TimeRange() (int64, int64) { return g.minTS, g.maxTS }
 func (g *Segment) Events() []sysmon.Event { return g.materialize() }
 
 // ApproxBytes estimates the segment's resident heap footprint for the
-// event data (posting indexes excluded). A reader-backed segment that
-// has not materialized holds no AoS array, so its heap cost is ~zero —
-// the mapped file is accounted separately (see StorageStats).
+// event data (posting indexes excluded): the AoS array plus, for a
+// heap-sealed segment, its 8-byte-per-event scan-key column. A
+// reader-backed segment that has not materialized holds no AoS array,
+// so its heap cost is ~zero — the mapped file, key column included, is
+// accounted separately (see StorageStats).
 func (g *Segment) ApproxBytes() uint64 {
-	if g.fileBacked() && !g.evDone.Load() {
-		return 0
+	if g.fileBacked() {
+		if !g.evDone.Load() {
+			return 0
+		}
+		return uint64(g.count) * uint64(unsafe.Sizeof(sysmon.Event{}))
 	}
-	return uint64(g.count) * uint64(unsafe.Sizeof(sysmon.Event{}))
+	return uint64(g.count)*uint64(unsafe.Sizeof(sysmon.Event{})) + 8*uint64(len(g.scanKeys))
 }
 
 // buildIndexes constructs the posting lists and operation histogram.

@@ -44,7 +44,7 @@ func (s *Store) SegmentStats() SegmentStats {
 			st.SealedBytes += g.ApproxBytes()
 		}
 		st.MemtableEvents += len(p.mem.events)
-		st.MemtableBytes += uint64(len(p.mem.events)) * uint64(unsafe.Sizeof(sysmon.Event{}))
+		st.MemtableBytes += uint64(len(p.mem.events))*uint64(unsafe.Sizeof(sysmon.Event{})) + 8*uint64(len(p.mem.keys))
 	}
 	return st
 }

@@ -74,6 +74,17 @@ func TestSelectWhere(t *testing.T) {
 	}
 }
 
+// TestExponentLiteral: numbers in exponent notation — how numfmt
+// renders values of 1e15 and up — lex as numbers.
+func TestExponentLiteral(t *testing.T) {
+	db := newTestDB(t, true)
+	got := queryStrings(t, db, `SELECT name FROM people WHERE age = 2.8e+1 AND age < 1E2 ORDER BY name`)
+	want := [][]string{{"bob"}, {"dave"}}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("got %v, want %v", got, want)
+	}
+}
+
 func TestJoinOn(t *testing.T) {
 	for _, opt := range []bool{true, false} {
 		db := newTestDB(t, opt)

@@ -64,6 +64,19 @@ func sqlLex(src string) ([]sqlToken, error) {
 					i++
 				}
 			}
+			// an exponent, as numfmt renders values of 1e15 and up
+			if i < n && (src[i] == 'e' || src[i] == 'E') {
+				j := i + 1
+				if j < n && (src[j] == '+' || src[j] == '-') {
+					j++
+				}
+				if j < n && src[j] >= '0' && src[j] <= '9' {
+					i = j
+					for i < n && src[i] >= '0' && src[i] <= '9' {
+						i++
+					}
+				}
+			}
 			v, err := strconv.ParseFloat(src[start:i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("sql: bad number at offset %d", start)

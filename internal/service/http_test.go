@@ -7,6 +7,10 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
+
+	aiql "github.com/aiql/aiql"
+	"github.com/aiql/aiql/internal/sysmon"
 )
 
 func doJSON(t *testing.T, h http.Handler, method, path, body string) *httptest.ResponseRecorder {
@@ -235,5 +239,27 @@ func TestHTTPUnknownDataset(t *testing.T) {
 		`{"query": "proc p write file f as evt return p, f", "dataset": "nope"}`)
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("status %d, want 404: %s", rec.Code, rec.Body.String())
+	}
+}
+
+// TestHTTPStatsMemtableBytes: a memtable holds each event twice over —
+// the event struct and its 8-byte scan key — and the stats endpoint
+// charges both.
+func TestHTTPStatsMemtableBytes(t *testing.T) {
+	svc := New(aiql.Open(), Config{})
+	h := svc.Handler()
+	if rec := doJSON(t, h, http.MethodPost, "/api/v1/ingest", ingestLine(0)+"\n"); rec.Code != http.StatusOK {
+		t.Fatalf("ingest: status %d: %s", rec.Code, rec.Body.String())
+	}
+	rec := doJSON(t, h, http.MethodGet, "/api/v1/stats", "")
+	var st DatasetStats
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if st.Store.MemtableEvents != 1 {
+		t.Fatalf("memtable_events = %d, want 1", st.Store.MemtableEvents)
+	}
+	if want := uint64(unsafe.Sizeof(sysmon.Event{})) + 8; st.Store.MemtableBytes != want {
+		t.Errorf("memtable_bytes = %d, want %d", st.Store.MemtableBytes, want)
 	}
 }

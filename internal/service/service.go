@@ -254,9 +254,10 @@ type Stats struct {
 	Canceled     uint64 `json:"canceled"`
 	Errors       uint64 `json:"errors"`
 	RowsStreamed uint64 `json:"rows_streamed"` // rows delivered through DoStream
-	// ScannedEvents sums events touched by pattern scans across fresh
-	// executions (cache hits and coalesced followers re-report the
-	// leader's work and are not re-counted).
+	// ScannedEvents sums the events that passed pattern storage
+	// filters, pushed amount and start-time bounds included, across
+	// fresh executions (cache hits and coalesced followers re-report
+	// the leader's work and are not re-counted).
 	ScannedEvents uint64 `json:"scanned_events"`
 	Active        int64  `json:"active"`
 	Queued        int64  `json:"queued"`
@@ -436,7 +437,7 @@ func newService(db *aiql.DB, backend ShardBackend, cfg Config) *Service {
 			"Query latency through the service layer, queue wait included.",
 			obs.DefBuckets, lbls...)
 		s.mScanned = cfg.Metrics.MustCounter("aiql_query_scanned_events_total",
-			"Events touched by pattern scans across fresh executions.", lbls...)
+			"Events passing pattern storage filters across fresh executions.", lbls...)
 	}
 	return s
 }
